@@ -29,7 +29,6 @@ from .explain import emit_report, explain, write_explanation
 from .ingest import CategoryMarginals, ContingencyIndex, ingest_paths, resolve_mapping
 from .rankstats import baseline_stats, compute_distances
 from .recommend import EntityAnomalyReport, top_k
-from .synthgen import bench_config, config_from_json, generate_log
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -272,6 +271,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # synthgen pulls in numpy; only synth and bench pay for it.
+    from .synthgen import config_from_json, generate_log
+
     if not args.config:
         raise UsageError("synth requires --config with a generator config (JSON)")
     config_path = Path(args.config)
@@ -307,6 +309,8 @@ def run_bench(
     Logs are deleted after timing; bench.csv keeps the measurements.  The
     reported time covers the four analysis stages, not artifact writing.
     """
+    from .synthgen import bench_config, generate_log
+
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []
     for size in sizes:

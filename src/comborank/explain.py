@@ -19,9 +19,9 @@ import json
 import re
 from csv import writer as csv_writer
 from dataclasses import dataclass
+from html import escape
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 from .baseline import BaselineSet
 from .ingest import ContingencyIndex
@@ -160,9 +160,9 @@ def render_chart(chart: ChartData, *, bar_budget: int = _BAR_BUDGET) -> str:
         f'height="{_CHART_HEIGHT}" viewBox="0 0 {_CHART_WIDTH} {_CHART_HEIGHT}">',
         f'<rect width="{_CHART_WIDTH}" height="{_CHART_HEIGHT}" fill="#ffffff"/>',
         f'<text x="{_MARGIN_LEFT}" y="22" font-family="sans-serif" font-size="15" '
-        f'font-weight="bold" fill="{_TEXT_FILL}">{escape(title)}</text>',
+        f'font-weight="bold" fill="{_TEXT_FILL}">{escape(title, quote=False)}</text>',
         f'<text x="{_MARGIN_LEFT}" y="42" font-family="sans-serif" font-size="13" '
-        f'fill="{_TEXT_FILL}">{escape(subtitle)}</text>',
+        f'fill="{_TEXT_FILL}">{escape(subtitle, quote=False)}</text>',
     ]
 
     baseline_y = _MARGIN_TOP + plot_h
@@ -189,13 +189,14 @@ def render_chart(chart: ChartData, *, bar_budget: int = _BAR_BUDGET) -> str:
         fill = _FOCAL_FILL if entity == chart.focal_entity else _BAR_FILL
         parts.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" height="{h:.2f}" '
-            f'fill="{fill}"><title>{escape(entity)}: {count}</title></rect>'
+            f'fill="{fill}"><title>{escape(entity, quote=False)}: {count}</title></rect>'
         )
     if len(positions) < n:
         note = f"top {bar_budget} of {n} entities shown"
         parts.append(
             f'<text x="{_MARGIN_LEFT + plot_w}" y="42" font-family="sans-serif" '
-            f'font-size="11" fill="{_TEXT_FILL}" text-anchor="end">{escape(note)}</text>'
+            f'font-size="11" fill="{_TEXT_FILL}" text-anchor="end">'
+            f'{escape(note, quote=False)}</text>'
         )
 
     marker_x = _MARGIN_LEFT + (chart.focal_rank - 1 + 0.5) * slot
@@ -209,7 +210,8 @@ def render_chart(chart: ChartData, *, bar_budget: int = _BAR_BUDGET) -> str:
     dx = 5 if anchor == "start" else -5
     parts.append(
         f'<text x="{marker_x + dx:.2f}" y="{_MARGIN_TOP + 14}" font-family="sans-serif" '
-        f'font-size="11" fill="{_MARKER_STROKE}" text-anchor="{anchor}">{escape(label)}</text>'
+        f'font-size="11" fill="{_MARKER_STROKE}" text-anchor="{anchor}">'
+        f'{escape(label, quote=False)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts)
@@ -217,43 +219,71 @@ def render_chart(chart: ChartData, *, bar_budget: int = _BAR_BUDGET) -> str:
 
 # --- report documents ---------------------------------------------------------
 
-def _item_to_dict(item: AnomalyItem) -> dict:
-    return {
-        "combination": list(item.combination),
-        "distance": item.distance,
-        "rr": item.rr,
-        "rank": item.rank,
-        "cohort_size": item.cohort_size,
-        "count": item.count,
-    }
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _report_to_dict(report: EntityAnomalyReport) -> dict:
-    return {
-        "entity": report.entity,
-        "mrr": report.mrr,
-        "expected_rank": report.expected_rank,
-        "baseline_presence": report.baseline_presence,
-        "items": [_item_to_dict(item) for item in report.items],
-    }
+def _json_array(encoded: Sequence[str], indent: str) -> str:
+    """Already-encoded JSON values as an array whose brackets sit at ``indent``."""
+    if not encoded:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(encoded) + "\n" + indent + "]"
+
+
+def _json_number(value: float | None) -> str:
+    return "null" if value is None else repr(value)
+
+
+def _item_json(item: AnomalyItem) -> str:
+    combination = _json_array([_json_string(v) for v in item.combination], " " * 10)
+    return (
+        "{\n"
+        f'          "cohort_size": {item.cohort_size!r},\n'
+        f'          "combination": {combination},\n'
+        f'          "count": {item.count!r},\n'
+        f'          "distance": {item.distance!r},\n'
+        f'          "rank": {item.rank!r},\n'
+        f'          "rr": {item.rr!r}\n'
+        "        }"
+    )
+
+
+def _report_json(report: EntityAnomalyReport) -> str:
+    items = _json_array([_item_json(item) for item in report.items], " " * 6)
+    return (
+        "{\n"
+        f'      "baseline_presence": {report.baseline_presence!r},\n'
+        f'      "entity": {_json_string(report.entity)},\n'
+        f'      "expected_rank": {_json_number(report.expected_rank)},\n'
+        f'      "items": {items},\n'
+        f'      "mrr": {_json_number(report.mrr)}\n'
+        "    }"
+    )
 
 
 def emit_report(reports: Sequence[EntityAnomalyReport], format: str = "json") -> str:
     """Serialize reports canonically; "json" round-trips, "csv" flattens items.
 
     The JSON document sorts keys and entities and keeps floats at repr
-    precision, so identical statistics produce identical bytes.  The CSV view
+    precision, so identical statistics produce identical bytes.  It is written
+    directly, byte for byte what ``json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=False)`` gives, because that call runs the pure-Python
+    encoder whenever ``indent`` is set.  Every float is finite: MRR, its
+    inverse, rr and distance all come from positive ranks.  The CSV view
     has one row per item (entities without items do not appear) with floats
     at six significant digits, and joins combination values with ``|``.
     """
     ordered = sorted(reports, key=lambda r: r.entity)
     if format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "entities": [_report_to_dict(r) for r in ordered],
-            "no_baseline_presence": [r.entity for r in ordered if r.mrr is None],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        entities = _json_array([_report_json(r) for r in ordered], "  ")
+        absent = _json_array([_json_string(r.entity) for r in ordered if r.mrr is None], "  ")
+        return (
+            "{\n"
+            f'  "entities": {entities},\n'
+            f'  "no_baseline_presence": {absent},\n'
+            f'  "schema_version": {SCHEMA_VERSION}\n'
+            "}\n"
+        )
     if format == "csv":
         buffer = io.StringIO()
         rows = csv_writer(buffer, lineterminator="\n")

@@ -21,7 +21,6 @@ never fatal.  Bytes that do not decode as UTF-8 are replaced, not rejected.
 from __future__ import annotations
 
 import gzip
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from os import cpu_count
 from pathlib import Path
@@ -277,6 +276,20 @@ def _used_indexes(spec: AnalysisSpec, mapping: FieldMapping) -> tuple[int, ...]:
     )
 
 
+def _split_lines(text: str) -> list[str]:
+    """Split decoded text into lines exactly as text-mode file iteration does.
+
+    Only ``\\n``, ``\\r\\n`` and a lone ``\\r`` end a line.  ``str.splitlines``
+    would also break at ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``,
+    ``\\u2028`` and ``\\u2029``, so a field holding one of those would count
+    differently in a byte range than in a single-worker pass.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _is_gzip(path: Path) -> bool:
     return path.suffix == ".gz"
 
@@ -295,6 +308,7 @@ def read_header(path: str | Path, delimiter: str) -> tuple[str, ...]:
         first = handle.readline()
     if not first:
         raise ConfigError(f"{path}: empty file, no header to read")
+    first = first.removeprefix("\ufeff")  # a UTF-8 byte order mark is not part of the name
     names = tuple(name.strip() for name in first.rstrip("\r\n").split(delimiter))
     if any(not n for n in names):
         raise ConfigError(f"{path}: header has empty column names: {first!r}")
@@ -320,11 +334,18 @@ def resolve_mapping(
 
 
 def _data_offset(path: Path, header: bool) -> int:
-    """Byte offset of the first data line in a plain-text log."""
+    """Byte offset of the first data line in a plain-text log.
+
+    The header ends at its first ``\\n``, ``\\r\\n`` or lone ``\\r``, as in
+    text-mode reading, so a lone ``\\r`` does not pull the next line into it.
+    """
     if not header:
         return 0
     with open(path, "rb") as handle:
         first = handle.readline()
+    cr = first.find(b"\r")
+    if cr >= 0 and first[cr + 1 : cr + 2] != b"\n":
+        return cr + 1
     return len(first)
 
 
@@ -371,8 +392,13 @@ def _parse_byte_range(
                     break
                 tail.append(block)
             buf += b"".join(tail)
-    lines = buf.decode("utf-8", errors="replace").splitlines()
-    return _count_lines(lines, delimiter, column_count, used_indexes, missing_token)
+    return _count_lines(
+        _split_lines(buf.decode("utf-8", errors="replace")),
+        delimiter,
+        column_count,
+        used_indexes,
+        missing_token,
+    )
 
 
 def _chunk_ranges(size: int, data_start: int, workers: int) -> list[tuple[int, int]]:
@@ -432,6 +458,9 @@ def ingest_file(
     ranges = _chunk_ranges(size, data_start, workers)
     if len(ranges) <= 1:
         return ingest_file(path, spec, mapping, header=header, workers=1)
+    # Imported here so single-worker runs never load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     flat: dict[tuple[str, ...], int] = {}
     total = 0
     rejected = 0

@@ -26,12 +26,15 @@ def _read_rows(
     columns: Sequence[str] | None,
     missing_token: str,
 ) -> tuple[list[str], list[list[str]]]:
+    # Iterating a text handle breaks lines only at \n, \r\n and \r, as
+    # ingestion does; str.splitlines() would also break inside fields.
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        lines = handle.read().splitlines()
+        lines = list(handle)
     if header:
         if not lines:
             raise ValueError(f"{path}: empty file")
-        names = [name.strip() for name in lines[0].split(delimiter)]
+        first = lines[0].removeprefix("\ufeff")
+        names = [name.strip() for name in first.split(delimiter)]
         data = lines[1:]
     else:
         if not columns:

@@ -1,7 +1,13 @@
 import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import comborank
 
 from comborank import emit_report, recommend_all
 from comborank.cli import (
@@ -126,6 +132,20 @@ class TestCommands:
     def test_synth_requires_config(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path)]) == EXIT_USAGE
 
+    def test_byte_order_mark_log_matches_plain_log(self, sample_log, tmp_path):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + sample_log.read_bytes())
+        documents = []
+        for name, log in (("plain", sample_log), ("marked", marked)):
+            out_dir = tmp_path / name
+            rc = main([
+                "recommend", "--input", str(log), "--out", str(out_dir),
+                "--categories", "cat1,cat2", "--entity", "entity",
+            ])
+            assert rc == EXIT_OK
+            documents.append((out_dir / "reports.json").read_bytes())
+        assert documents[1] == documents[0]
+
     def test_gzip_input(self, sample_log, tmp_path):
         gz_path = tmp_path / "log.csv.gz"
         gz_path.write_bytes(gzip.compress(sample_log.read_bytes()))
@@ -224,3 +244,16 @@ def test_rank_profile_via_cli(tmp_path):
     assert rc == EXIT_OK
     doc = json.loads((out_dir / "baseline.json").read_text())
     assert len(doc["combinations"]) == 8
+
+
+def test_import_loads_only_analysis_modules():
+    """Start-up pays for no module that only synth, bench or fan-out uses."""
+    heavy = ("numpy", "multiprocessing", "urllib.request", "xml.sax")
+    code = f"import sys, comborank.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(comborank.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout.strip() == "[]"

@@ -2,8 +2,11 @@ import json
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from comborank import (
+    AnomalyItem,
     ChartData,
     EntityAnomalyReport,
     emit_report,
@@ -42,6 +45,66 @@ def _focal_marker(svg: str) -> ET.Element:
 
 def _marker_x(rank: int, cohort: int) -> float:
     return _MARGIN_LEFT + (rank - 1 + 0.5) * _PLOT_WIDTH / cohort
+
+
+def _reference_json(reports) -> str:
+    """The report document as the standard library's encoder writes it."""
+    ordered = sorted(reports, key=lambda r: r.entity)
+    doc = {
+        "schema_version": 1,
+        "entities": [
+            {
+                "entity": r.entity,
+                "mrr": r.mrr,
+                "expected_rank": r.expected_rank,
+                "baseline_presence": r.baseline_presence,
+                "items": [
+                    {
+                        "combination": list(item.combination),
+                        "distance": item.distance,
+                        "rr": item.rr,
+                        "rank": item.rank,
+                        "cohort_size": item.cohort_size,
+                        "count": item.count,
+                    }
+                    for item in r.items
+                ],
+            }
+            for r in ordered
+        ],
+        "no_baseline_presence": [r.entity for r in ordered if r.mrr is None],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+# Quotes, backslashes, control characters, line and paragraph separators and
+# non-BMP characters all need escaping or pass through unescaped.
+_awkward_char = st.one_of(
+    st.sampled_from('"\\\x00\x08\t\n\x1f\x7f\x85\u2028\u2029\U0001f600\U00010348'),
+    st.characters(),
+)
+_text = st.text(_awkward_char, max_size=8)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.integers(min_value=1, max_value=10**9)
+_item = st.builds(
+    AnomalyItem,
+    st.lists(_text, min_size=1, max_size=4).map(tuple),
+    _finite,
+    _finite,
+    _positive,
+    _positive,
+    _positive,
+)
+_scored = st.builds(
+    EntityAnomalyReport,
+    _text,
+    _finite,
+    _finite,
+    _positive,
+    st.lists(_item, max_size=4).map(tuple),
+)
+_unscored = st.builds(EntityAnomalyReport, _text, st.none(), st.none(), st.just(0), st.just(()))
+_report_lists = st.lists(st.one_of(_scored, _unscored), max_size=6, unique_by=lambda r: r.entity)
 
 
 class TestExplain:
@@ -137,6 +200,12 @@ class TestReportDocuments:
         ]
         doc = json.loads(emit_report(reports))
         assert doc["no_baseline_presence"] == ["ghost"]
+
+    @given(_report_lists)
+    @example([])
+    @example([EntityAnomalyReport("ghost", None, None, 0, ())])
+    def test_json_matches_standard_encoder(self, reports):
+        assert emit_report(reports, "json") == _reference_json(reports)
 
     def test_csv_flattens_items(self):
         _, _, reports = _pipeline()

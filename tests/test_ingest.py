@@ -13,13 +13,18 @@ from comborank import (
     SchemaMismatch,
     aggregate,
     aggregate_lines,
+    emit_report,
+    generate_baseline,
     ingest_file,
     ingest_paths,
     merge_indexes,
     merge_marginals,
     parse_record,
+    recommend_all,
     resolve_mapping,
 )
+from comborank import ingest as ingest_module
+from comborank.synthgen import oracle_recommend
 
 MAPPING = FieldMapping(("Browser", "Country", "Customer"))
 SPEC = AnalysisSpec(categories=("Browser", "Country"), entity_field="Customer")
@@ -198,6 +203,55 @@ class TestIngestFile:
             _assert_same_aggregates(
                 ingest_file(path, SPEC, MAPPING, header=True, workers=workers), single
             )
+
+    def test_worker_count_ignores_non_newline_separators(self, tmp_path, monkeypatch):
+        """Only \\n, \\r\\n and a lone \\r end a line, whatever the worker count.
+
+        Form feed, vertical tab, the information separators, NEL and U+2028
+        sit inside fields here; ``str.splitlines`` would break lines at each.
+        """
+        monkeypatch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 16)
+        noise = ("\x0c", "\x1d", "\x1c", "\x85", "\x0b", "\u2028", "")
+        endings = ("\n", "\r\n", "\r")
+        parts = ["Browser,Country,Customer\n"]
+        for i in range(3000):
+            mark = noise[i % len(noise)]
+            parts.append(f"b{i % 7}{mark}x,c{i % 5},e{mark}{i % 11}{endings[i % 3]}")
+        path = self._write(tmp_path, "log.csv", "".join(parts))
+        spec = AnalysisSpec(categories=("Browser", "Country"), entity_field="Customer", k=3)
+        documents = {}
+        for workers in (1, 2, 4):
+            marginals, index = ingest_file(path, spec, MAPPING, header=True, workers=workers)
+            assert (index.total_records, index.rejected_records) == (3000, 0)
+            baseline = generate_baseline(marginals, spec)
+            documents[workers] = emit_report(recommend_all(index, baseline, spec))
+        assert documents[2] == documents[1]
+        assert documents[4] == documents[1]
+        assert emit_report(oracle_recommend(path, spec)) == documents[1]
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 16)
+        body = "Browser,Country,Customer\nF,US,x1\nS,UK,x2\nF,UK,x2\n"
+        plain = self._write(tmp_path, "plain.csv", body)
+        marked = self._write(tmp_path, "marked.csv", "\ufeff" + body)
+        assert resolve_mapping(marked).column_names == MAPPING.column_names
+        for workers in (1, 2):
+            _assert_same_aggregates(
+                ingest_file(marked, SPEC, MAPPING, header=True, workers=workers),
+                ingest_file(plain, SPEC, MAPPING, header=True, workers=1),
+            )
+        assert emit_report(oracle_recommend(marked, SPEC)) == emit_report(
+            oracle_recommend(plain, SPEC)
+        )
+
+    def test_header_ended_by_lone_carriage_return(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 16)
+        rows = "".join(f"S,UK,x{i % 3}\n" for i in range(200))
+        path = tmp_path / "log.csv"
+        path.write_bytes(("Browser,Country,Customer\rF,US,x1\n" + rows).encode())
+        single = ingest_file(path, SPEC, MAPPING, header=True, workers=1)
+        assert single[1].total_records == 201
+        _assert_same_aggregates(ingest_file(path, SPEC, MAPPING, header=True, workers=2), single)
 
     def test_no_trailing_newline(self, tmp_path):
         path = self._write(tmp_path, "log.csv", "Browser,Country,Customer\nF,US,x1")
