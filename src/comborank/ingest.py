@@ -9,19 +9,27 @@ Two routes produce the same aggregates:
 
 * ``parse_record`` + ``aggregate`` is the reference route over explicit
   records, used by tests and small inputs.
-* ``ingest_paths`` is the production route: a fused parse-and-count loop over
-  raw lines, optionally fanned out over byte ranges of the file with
-  ``workers`` processes.  Gzip inputs are always read in a single context
-  because the stream does not support random access.
+* ``ingest_paths`` is the production route.  It counts raw lines in batches
+  of ``_BATCH_LINES`` and splits and strips each distinct line of a batch
+  once, adding its multiplicity straight into the index cells; a line's
+  treatment depends only on its text, so this is exact.  In a single
+  context memory is bounded by the index plus one batch.  Marginals are
+  derived from the cell totals.  Plain files can be fanned out over byte
+  ranges with ``workers`` processes, whose cells the parent adds up.  Gzip
+  inputs are always read in a single context because the stream does not
+  support random access.
 
 Malformed lines (wrong column count after splitting) are counted and skipped,
 never fatal.  Bytes that do not decode as UTF-8 are replaced, not rejected.
+One UTF-8 byte order mark at the start of a file is dropped.
 """
 
 from __future__ import annotations
 
 import gzip
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from os import cpu_count
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -32,6 +40,10 @@ LogRecord = tuple[str, ...]
 """One parsed log entry: one stripped value per mapped column."""
 
 _MIN_CHUNK_BYTES = 1 << 16
+_BATCH_LINES = 1 << 16
+_BOM = b"\xef\xbb\xbf"
+
+Cells = dict[tuple[str, ...], dict[str, int]]
 
 
 class MalformedLine(ValueError):
@@ -187,18 +199,24 @@ def merge_marginals(a: CategoryMarginals, b: CategoryMarginals) -> CategoryMargi
     return CategoryMarginals(merged)
 
 
+def _add_cells(into: Cells, other: Cells) -> None:
+    """Add ``other``'s counts into ``into`` cell by cell, leaving ``other`` unshared."""
+    for combo, cell in other.items():
+        mine = into.get(combo)
+        if mine is None:
+            into[combo] = dict(cell)
+        else:
+            for entity, n in cell.items():
+                mine[entity] = mine.get(entity, 0) + n
+
+
 def merge_indexes(a: ContingencyIndex, b: ContingencyIndex) -> ContingencyIndex:
     """Cell-wise sum of two indexes built under the same spec."""
     if a.schema() != b.schema():
         raise SchemaMismatch(f"index schemas differ: {a.schema()} vs {b.schema()}")
-    cells = {combo: dict(cell) for combo, cell in a.cells.items()}
-    for combo, cell in b.cells.items():
-        mine = cells.get(combo)
-        if mine is None:
-            cells[combo] = dict(cell)
-        else:
-            for entity, n in cell.items():
-                mine[entity] = mine.get(entity, 0) + n
+    cells: Cells = {}
+    _add_cells(cells, a.cells)
+    _add_cells(cells, b.cells)
     return ContingencyIndex(
         a.categories,
         a.entity_field,
@@ -208,72 +226,67 @@ def merge_indexes(a: ContingencyIndex, b: ContingencyIndex) -> ContingencyIndex:
     )
 
 
-# --- fused fast path ---------------------------------------------------------
+# --- production path ---------------------------------------------------------
+
+def _used_indexes(spec: AnalysisSpec, mapping: FieldMapping) -> tuple[int, ...]:
+    """Column positions of the categories, in spec order, then of the entity."""
+    return tuple(
+        [mapping.index_of(c) for c in spec.categories] + [mapping.index_of(spec.entity_field)]
+    )
+
 
 def _count_lines(
     lines: Iterable[str],
-    delimiter: str,
-    column_count: int,
+    mapping: FieldMapping,
     used_indexes: tuple[int, ...],
-    missing_token: str,
-) -> tuple[dict[tuple[str, ...], int], int, int]:
-    """Hot loop: count (combination..., entity) keys straight from raw lines."""
-    flat: dict[tuple[str, ...], int] = {}
-    get = flat.get
+    cells: Cells,
+) -> tuple[int, int]:
+    """Hot loop: add raw lines into ``cells``; returns (accepted, rejected).
+
+    Lines are counted a batch at a time, and each distinct line of a batch is
+    split and stripped once, its multiplicity added to its cell or to the
+    rejected count.
+    """
+    delimiter = mapping.delimiter
+    column_count = mapping.column_count
+    missing = mapping.missing_token
+    *category_indexes, entity_index = used_indexes
+    lines = iter(lines)
     total = 0
     rejected = 0
-    for line in lines:
-        fields = line.split(delimiter)
-        if len(fields) != column_count:
-            rejected += 1
-            continue
-        key = tuple([fields[i].strip() or missing_token for i in used_indexes])
-        flat[key] = get(key, 0) + 1
-        total += 1
-    return flat, total, rejected
+    while batch := Counter(islice(lines, _BATCH_LINES)):
+        for line, n in batch.items():
+            fields = line.split(delimiter)
+            if len(fields) != column_count:
+                rejected += n
+                continue
+            combination = tuple([fields[i].strip() or missing for i in category_indexes])
+            entity = fields[entity_index].strip() or missing
+            cell = cells.get(combination)
+            if cell is None:
+                cells[combination] = {entity: n}
+            else:
+                cell[entity] = cell.get(entity, 0) + n
+            total += n
+    return total, rejected
 
 
-def _merge_flat(
-    into: dict[tuple[str, ...], int],
-    other: dict[tuple[str, ...], int],
-) -> None:
-    get = into.get
-    for key, n in other.items():
-        into[key] = get(key, 0) + n
-
-
-def _flat_to_aggregates(
-    flat: dict[tuple[str, ...], int],
-    total: int,
-    rejected: int,
-    spec: AnalysisSpec,
+def _aggregates(
+    cells: Cells, total: int, rejected: int, spec: AnalysisSpec
 ) -> tuple[CategoryMarginals, ContingencyIndex]:
-    """Expand flat keyed counts into the nested index plus derived marginals.
+    """Wrap counted cells as an index and derive the marginals from cell totals.
 
-    Marginals are derived from the cells rather than counted per line; the
-    two agree exactly because every accepted record lands in exactly one cell.
+    The marginals agree exactly with per-record counting because every
+    accepted record lands in exactly one cell.
     """
-    marginals = {c: {} for c in spec.categories}
-    per_cat = [marginals[c] for c in spec.categories]
-    cells: dict[tuple[str, ...], dict[str, int]] = {}
-    for key, n in flat.items():
-        combination = key[:-1]
-        entity = key[-1]
-        cell = cells.get(combination)
-        if cell is None:
-            cells[combination] = {entity: n}
-        else:
-            cell[entity] = cell.get(entity, 0) + n
+    marginals: dict[str, dict[str, int]] = {c: {} for c in spec.categories}
+    per_cat = list(marginals.values())
+    for combination, cell in cells.items():
+        n = sum(cell.values())
         for counts, value in zip(per_cat, combination):
             counts[value] = counts.get(value, 0) + n
     index = ContingencyIndex(tuple(spec.categories), spec.entity_field, cells, total, rejected)
     return CategoryMarginals(marginals), index
-
-
-def _used_indexes(spec: AnalysisSpec, mapping: FieldMapping) -> tuple[int, ...]:
-    return tuple(
-        [mapping.index_of(c) for c in spec.categories] + [mapping.index_of(spec.entity_field)]
-    )
 
 
 def _split_lines(text: str) -> list[str]:
@@ -295,11 +308,15 @@ def _is_gzip(path: Path) -> bool:
 
 
 def open_log_text(path: str | Path) -> IO[str]:
-    """Open a plain or .gz log for line iteration; undecodable bytes are replaced."""
+    """Open a plain or .gz log for line iteration.
+
+    Undecodable bytes are replaced, and one leading UTF-8 byte order mark is
+    dropped (``utf-8-sig``), so it never becomes part of a name or value.
+    """
     path = Path(path)
     if _is_gzip(path):
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
-    return open(path, "r", encoding="utf-8", errors="replace")
+        return gzip.open(path, "rt", encoding="utf-8-sig", errors="replace")
+    return open(path, "r", encoding="utf-8-sig", errors="replace")
 
 
 def read_header(path: str | Path, delimiter: str) -> tuple[str, ...]:
@@ -308,7 +325,6 @@ def read_header(path: str | Path, delimiter: str) -> tuple[str, ...]:
         first = handle.readline()
     if not first:
         raise ConfigError(f"{path}: empty file, no header to read")
-    first = first.removeprefix("\ufeff")  # a UTF-8 byte order mark is not part of the name
     names = tuple(name.strip() for name in first.rstrip("\r\n").split(delimiter))
     if any(not n for n in names):
         raise ConfigError(f"{path}: header has empty column names: {first!r}")
@@ -336,12 +352,13 @@ def resolve_mapping(
 def _data_offset(path: Path, header: bool) -> int:
     """Byte offset of the first data line in a plain-text log.
 
+    A leading UTF-8 byte order mark is skipped, as ``open_log_text`` does.
     The header ends at its first ``\\n``, ``\\r\\n`` or lone ``\\r``, as in
     text-mode reading, so a lone ``\\r`` does not pull the next line into it.
     """
-    if not header:
-        return 0
     with open(path, "rb") as handle:
+        if not header:
+            return len(_BOM) if handle.read(len(_BOM)) == _BOM else 0
         first = handle.readline()
     cr = first.find(b"\r")
     if cr >= 0 and first[cr + 1 : cr + 2] != b"\n":
@@ -354,12 +371,10 @@ def _parse_byte_range(
     start: int,
     end: int,
     data_start: int,
-    delimiter: str,
-    column_count: int,
+    mapping: FieldMapping,
     used_indexes: tuple[int, ...],
-    missing_token: str,
-) -> tuple[dict[tuple[str, ...], int], int, int]:
-    """Count every line whose first byte lies in [start, end).
+) -> tuple[Cells, int, int]:
+    """Count every line whose first byte lies in [start, end) into fresh cells.
 
     A line straddling ``end`` belongs to this range; a line straddling
     ``start`` belongs to the previous one.  Together the ranges of a file
@@ -392,13 +407,10 @@ def _parse_byte_range(
                     break
                 tail.append(block)
             buf += b"".join(tail)
-    return _count_lines(
-        _split_lines(buf.decode("utf-8", errors="replace")),
-        delimiter,
-        column_count,
-        used_indexes,
-        missing_token,
-    )
+    cells: Cells = {}
+    lines = _split_lines(buf.decode("utf-8", errors="replace"))
+    total, rejected = _count_lines(lines, mapping, used_indexes, cells)
+    return cells, total, rejected
 
 
 def _chunk_ranges(size: int, data_start: int, workers: int) -> list[tuple[int, int]]:
@@ -419,6 +431,53 @@ def resolve_workers(workers: int) -> int:
     return workers
 
 
+def _count_file(
+    path: Path,
+    spec: AnalysisSpec,
+    mapping: FieldMapping,
+    header: bool,
+    workers: int,
+    cells: Cells,
+) -> tuple[int, int]:
+    """Add one log file's lines into ``cells``; returns (accepted, rejected)."""
+    spec.validate_mapping(mapping)
+    workers = resolve_workers(workers)
+    used = _used_indexes(spec, mapping)
+    if header:
+        observed = read_header(path, mapping.delimiter)
+        if observed != mapping.column_names:
+            raise SchemaMismatch(
+                f"{path}: header {observed} does not match mapping {mapping.column_names}"
+            )
+
+    data_start = 0
+    ranges: list[tuple[int, int]] = []
+    if not _is_gzip(path) and workers > 1:
+        data_start = _data_offset(path, header)
+        ranges = _chunk_ranges(path.stat().st_size, data_start, workers)
+    if len(ranges) <= 1:
+        with open_log_text(path) as handle:
+            if header:
+                handle.readline()
+            return _count_lines(handle, mapping, used, cells)
+    # Imported here so single-worker runs never load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    total = 0
+    rejected = 0
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        futures = [
+            pool.submit(_parse_byte_range, str(path), lo, hi, data_start, mapping, used)
+            for lo, hi in ranges
+        ]
+        for future in futures:
+            part, part_total, part_rejected = future.result()
+            _add_cells(cells, part)
+            total += part_total
+            rejected += part_rejected
+    return total, rejected
+
+
 def ingest_file(
     path: str | Path,
     spec: AnalysisSpec,
@@ -433,58 +492,7 @@ def ingest_file(
     always streamed in a single context.  The result is identical for every
     worker count because partial aggregates merge exactly.
     """
-    path = Path(path)
-    spec.validate_mapping(mapping)
-    workers = resolve_workers(workers)
-    used = _used_indexes(spec, mapping)
-    if header:
-        observed = read_header(path, mapping.delimiter)
-        if observed != mapping.column_names:
-            raise SchemaMismatch(
-                f"{path}: header {observed} does not match mapping {mapping.column_names}"
-            )
-
-    if _is_gzip(path) or workers == 1:
-        with open_log_text(path) as handle:
-            if header:
-                handle.readline()
-            flat, total, rejected = _count_lines(
-                handle, mapping.delimiter, mapping.column_count, used, mapping.missing_token
-            )
-        return _flat_to_aggregates(flat, total, rejected, spec)
-
-    size = path.stat().st_size
-    data_start = _data_offset(path, header)
-    ranges = _chunk_ranges(size, data_start, workers)
-    if len(ranges) <= 1:
-        return ingest_file(path, spec, mapping, header=header, workers=1)
-    # Imported here so single-worker runs never load multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
-
-    flat: dict[tuple[str, ...], int] = {}
-    total = 0
-    rejected = 0
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [
-            pool.submit(
-                _parse_byte_range,
-                str(path),
-                lo,
-                hi,
-                data_start,
-                mapping.delimiter,
-                mapping.column_count,
-                used,
-                mapping.missing_token,
-            )
-            for lo, hi in ranges
-        ]
-        for future in futures:
-            part, part_total, part_rejected = future.result()
-            _merge_flat(flat, part)
-            total += part_total
-            rejected += part_rejected
-    return _flat_to_aggregates(flat, total, rejected, spec)
+    return ingest_paths([path], spec, mapping, header=header, workers=workers)
 
 
 def ingest_paths(
@@ -495,17 +503,14 @@ def ingest_paths(
     header: bool = True,
     workers: int = 1,
 ) -> tuple[CategoryMarginals, ContingencyIndex]:
-    """Aggregate several log files under one mapping and merge the results."""
+    """Aggregate several log files under one mapping into one index."""
     if not paths:
         raise ConfigError("no input paths given")
-    merged_marginals: CategoryMarginals | None = None
-    merged_index: ContingencyIndex | None = None
+    cells: Cells = {}
+    total = 0
+    rejected = 0
     for path in paths:
-        marginals, index = ingest_file(path, spec, mapping, header=header, workers=workers)
-        if merged_marginals is None or merged_index is None:
-            merged_marginals, merged_index = marginals, index
-        else:
-            merged_marginals = merge_marginals(merged_marginals, marginals)
-            merged_index = merge_indexes(merged_index, index)
-    assert merged_marginals is not None and merged_index is not None
-    return merged_marginals, merged_index
+        accepted, skipped = _count_file(Path(path), spec, mapping, header, workers, cells)
+        total += accepted
+        rejected += skipped
+    return _aggregates(cells, total, rejected, spec)

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .baseline import BaselineSet
 from .ingest import ContingencyIndex
@@ -47,19 +48,27 @@ class RankOrdering:
         return len(self.entries)
 
 
-def _order_cell(combination: tuple[str, ...], cell: dict[str, int]) -> RankOrdering:
-    items = sorted(cell.items(), key=lambda item: (-item[1], item[0]))
-    entries: list[tuple[str, int, int]] = []
-    ranks: dict[str, int] = {}
+_COUNT = itemgetter(1)
+
+
+def _ranked(cell: dict[str, int]) -> list[tuple[str, int, int]]:
+    """A cohort's (entity, count, rank) triples, count descending, entity ascending.
+
+    Sorting by entity and then stably by count descending gives the order of
+    the key ``(-count, entity)`` with both sorts comparing in C.
+    """
+    items = sorted(cell.items())
+    items.sort(key=_COUNT, reverse=True)
+    ranked: list[tuple[str, int, int]] = []
+    append = ranked.append
     rank = 0
     previous = None
     for position, (entity, count) in enumerate(items, 1):
         if count != previous:
             rank = position
             previous = count
-        entries.append((entity, count, rank))
-        ranks[entity] = rank
-    return RankOrdering(combination, tuple(entries), ranks)
+        append((entity, count, rank))
+    return ranked
 
 
 def rank_ordering(index: ContingencyIndex, combination: Sequence[str]) -> RankOrdering:
@@ -68,7 +77,8 @@ def rank_ordering(index: ContingencyIndex, combination: Sequence[str]) -> RankOr
     cell = index.cells.get(combo)
     if not cell:
         raise KeyError(f"combination {combo!r} not observed")
-    return _order_cell(combo, cell)
+    entries = tuple(_ranked(cell))
+    return RankOrdering(combo, entries, {entity: rank for entity, _count, rank in entries})
 
 
 def reciprocal_rank(ordering: RankOrdering, entity: str) -> float | None:
@@ -121,11 +131,12 @@ def compute_mrr(entity: str, baseline: BaselineSet, index: ContingencyIndex) -> 
     rrs: dict[tuple[str, ...], float] = {}
     for combo in baseline.sorted_combinations():
         cell = index.cells.get(combo)
-        if not cell:
+        if not cell or entity not in cell:
             continue
-        rank = _order_cell(combo, cell).ranks.get(entity)
-        if rank is not None:
-            rrs[combo] = 1.0 / rank
+        for ranked_entity, _count, rank in _ranked(cell):
+            if ranked_entity == entity:
+                rrs[combo] = 1.0 / rank
+                break
     return _stats_from_rrs(entity, rrs)
 
 
@@ -145,13 +156,12 @@ def baseline_stats(index: ContingencyIndex, baseline: BaselineSet) -> dict[str, 
         cell = index.cells.get(combo)
         if not cell:
             continue
-        for entity, _count, rank in _order_cell(combo, cell).entries:
+        for entity, _count, rank in _ranked(cell):
             per_entity[entity][combo] = 1.0 / rank
     return {entity: _stats_from_rrs(entity, rrs) for entity, rrs in per_entity.items()}
 
 
-@dataclass(frozen=True)
-class DistanceEntry:
+class DistanceEntry(NamedTuple):
     """One scored (entity, non-baseline combination) pair."""
 
     entity: str
@@ -199,22 +209,20 @@ def compute_distances(
     as are entities without an MRR (no baseline presence).
     """
     expected = baseline.combinations
+    mrrs = {entity: s.mrr for entity, s in stats.items() if s.mrr is not None}
     by_entity: dict[str, dict[tuple[str, ...], DistanceEntry]] = {}
     for combo, cell in index.cells.items():
         if combo in expected:
             continue
         if min_support > 1 and sum(cell.values()) < min_support:
             continue
-        ordering = _order_cell(combo, cell)
-        cohort = ordering.cohort_size
-        for entity, count, rank in ordering.entries:
-            entity_stats = stats.get(entity)
-            if entity_stats is None or entity_stats.mrr is None:
+        cohort = len(cell)
+        for entity, count, rank in _ranked(cell):
+            mrr = mrrs.get(entity)
+            if mrr is None:
                 continue
             rr = 1.0 / rank
-            entry = DistanceEntry(
-                entity, combo, abs(rr - entity_stats.mrr), rr, rank, cohort, count
-            )
+            entry = DistanceEntry(entity, combo, abs(rr - mrr), rr, rank, cohort, count)
             per_combo = by_entity.get(entity)
             if per_combo is None:
                 by_entity[entity] = {combo: entry}

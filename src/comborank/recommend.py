@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .baseline import BaselineSet
 from .config import AnalysisSpec
@@ -43,6 +44,10 @@ def _as_item(entry: DistanceEntry) -> AnomalyItem:
     )
 
 
+_COMBINATION = itemgetter(DistanceEntry._fields.index("combination"))
+_DISTANCE = itemgetter(DistanceEntry._fields.index("distance"))
+
+
 def top_k(entity: str, table: DistanceTable, k: int) -> EntityAnomalyReport:
     """The entity's k highest-distance combinations, ties broken by combination.
 
@@ -57,7 +62,9 @@ def top_k(entity: str, table: DistanceTable, k: int) -> EntityAnomalyReport:
     candidates = table.by_entity.get(entity)
     items: tuple[AnomalyItem, ...] = ()
     if candidates:
-        ordered = sorted(candidates.values(), key=lambda e: (-e.distance, e.combination))
+        # Combination ascending, then stably distance descending.
+        ordered = sorted(candidates.values(), key=_COMBINATION)
+        ordered.sort(key=_DISTANCE, reverse=True)
         items = tuple(_as_item(entry) for entry in ordered[:k])
     return EntityAnomalyReport(
         entity, stats.mrr, stats.expected_rank, stats.baseline_presence, items

@@ -30,11 +30,13 @@ def _read_rows(
     # ingestion does; str.splitlines() would also break inside fields.
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
         lines = list(handle)
+    if lines:
+        # A leading UTF-8 byte order mark belongs to neither a name nor a value.
+        lines[0] = lines[0].removeprefix("\ufeff")
     if header:
         if not lines:
             raise ValueError(f"{path}: empty file")
-        first = lines[0].removeprefix("\ufeff")
-        names = [name.strip() for name in first.split(delimiter)]
+        names = [name.strip() for name in lines[0].split(delimiter)]
         data = lines[1:]
     else:
         if not columns:

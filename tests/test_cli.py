@@ -10,6 +10,7 @@ import pytest
 import comborank
 
 from comborank import emit_report, recommend_all
+from comborank import ingest as ingest_module
 from comborank.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -144,6 +145,29 @@ class TestCommands:
             ])
             assert rc == EXIT_OK
             documents.append((out_dir / "reports.json").read_bytes())
+        assert documents[1] == documents[0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_headerless_byte_order_mark_log_matches_plain_log(
+        self, tmp_path, monkeypatch, threads
+    ):
+        """A BOM before the first record of a ``header = false`` log is not data."""
+        monkeypatch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 4)
+        conf = tmp_path / "analysis.conf"
+        conf.write_text("header = false\ncolumns = c1,c2,e\ncategories = c1,c2\nentity = e\n")
+        body = b"a,x,e1\na,x,e2\nb,y,e1\n"
+        documents = []
+        for name, data in (("plain", body), ("marked", b"\xef\xbb\xbf" + body)):
+            log = tmp_path / f"{name}.csv"
+            log.write_bytes(data)
+            out_dir = tmp_path / f"{name}_out"
+            rc = main([
+                "recommend", "--config", str(conf), "--input", str(log),
+                "--out", str(out_dir), "--threads", str(threads),
+            ])
+            assert rc == EXIT_OK
+            documents.append((out_dir / "reports.json").read_text(encoding="utf-8"))
+        assert "\ufeff" not in documents[1]
         assert documents[1] == documents[0]
 
     def test_gzip_input(self, sample_log, tmp_path):

@@ -1,7 +1,9 @@
 import gzip
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comborank import (
@@ -244,6 +246,29 @@ class TestIngestFile:
             oracle_recommend(plain, SPEC)
         )
 
+    def test_byte_order_mark_is_not_part_of_a_headerless_log(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 4)
+        mapping = FieldMapping(("c1", "c2", "e"))
+        spec = AnalysisSpec(categories=("c1", "c2"), entity_field="e")
+        body = b"a,x,e1\na,x,e2\nb,y,e1\n"
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(body)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        packed = tmp_path / "marked.csv.gz"
+        packed.write_bytes(gzip.compress(b"\xef\xbb\xbf" + body))
+        expected = ingest_file(plain, spec, mapping, header=False, workers=1)
+        assert expected[1].cells[("a", "x")] == {"e1": 1, "e2": 1}
+        for path, workers in ((marked, 1), (marked, 2), (packed, 1)):
+            _assert_same_aggregates(
+                ingest_file(path, spec, mapping, header=False, workers=workers), expected
+            )
+        oracle = emit_report(oracle_recommend(marked, spec, header=False, columns=("c1", "c2", "e")))
+        assert "\ufeff" not in oracle
+        assert oracle == emit_report(
+            oracle_recommend(plain, spec, header=False, columns=("c1", "c2", "e"))
+        )
+
     def test_header_ended_by_lone_carriage_return(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 16)
         rows = "".join(f"S,UK,x{i % 3}\n" for i in range(200))
@@ -285,6 +310,79 @@ class TestIngestFile:
         _, index = ingest_paths([one, two], SPEC, MAPPING, header=True, workers=1)
         assert index.cells[("F", "US")] == {"x1": 2}
         assert index.total_records == 3
+
+
+def _repeating(element, max_size):
+    """Lists drawn from a small pool of ``element`` values, so entries repeat."""
+    return st.lists(element, min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=max_size)
+    )
+
+
+class TestBatchedCounting:
+    """Counting distinct lines a batch at a time equals the per-record reference."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, None])
+    @settings(max_examples=25)
+    @given(lines=_repeating(_line, 40))
+    def test_matches_reference(self, batch, lines):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            if batch is not None:
+                patch.setattr(ingest_module, "_BATCH_LINES", batch)
+            path = Path(tmp) / "log.csv"
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            _assert_same_aggregates(
+                ingest_file(path, SPEC, MAPPING, header=False, workers=1),
+                aggregate_lines(lines, SPEC, MAPPING),
+            )
+
+
+_noise = st.sampled_from(["", " ", "  ", "\t", "\v", "\f", "\u2028"])
+_field = st.builds(
+    lambda pad, value, inner, tail: pad + value + inner + tail,
+    _noise,
+    st.sampled_from(["", "a", "b", "c"]),
+    st.sampled_from(["", "\v", "\f", "\u2028"]),
+    _noise,
+)
+_record = st.lists(_field, min_size=3, max_size=3).map(",".join)
+_malformed = st.sampled_from(["", "a", "a,b", "a,b,c,d", "\v,\f"])
+_ending = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+class TestLineRule:
+    """One definition of a line, whatever the worker count: ROADMAP item 1's property."""
+
+    @settings(max_examples=15)
+    @given(
+        rows=_repeating(st.tuples(st.one_of(_record, _record, _malformed), _ending), 40),
+        first=st.tuples(_record, _ending),
+        header=st.booleans(),
+        mark=st.booleans(),
+        final_ending=st.booleans(),
+        min_support=st.integers(1, 2),
+    )
+    def test_workers_and_oracle_agree(self, rows, first, header, mark, final_ending, min_support):
+        columns = ("c1", "c2", "e")
+        spec = AnalysisSpec(("c1", "c2"), "e", p=(1, 2), k=3, min_support=min_support)
+        mapping = FieldMapping(columns)
+        lines = [line + ending for line, ending in [first, *rows]]
+        if not final_ending:
+            lines[-1] = lines[-1].rstrip("\r\n")
+        text = ("\ufeff" if mark else "") + ("c1,c2,e\n" if header else "") + "".join(lines)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 8)
+            path = Path(tmp) / "log.csv"
+            path.write_bytes(text.encode("utf-8"))
+            documents = []
+            for workers in (1, 2, 3, 4):
+                marginals, index = ingest_file(path, spec, mapping, header=header, workers=workers)
+                baseline = generate_baseline(marginals, spec)
+                documents.append(emit_report(recommend_all(index, baseline, spec)))
+            oracle = oracle_recommend(path, spec, header=header, columns=columns)
+        assert documents[1:] == documents[:1] * 3
+        assert emit_report(oracle) == documents[0]
+        assert "\ufeff" not in documents[0]
 
 
 class TestResolveMapping:
