@@ -10,9 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from comborank import generate_baseline, ingest_file, recommend_all
-from comborank.cli import write_artifacts, PipelineResult, StageTimes
-from comborank.explain import explain, write_explanation
+from comborank import RunSettings, explain, write_explanation
+from comborank.cli import RunConfig, run_pipeline, write_artifacts
 from comborank.synthgen import generate_log, planted_config
 
 
@@ -33,17 +32,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  planted {plant.entity} into {'/'.join(plant.combination)} "
               f"({plant.records} extra records)")
 
-    spec = config.analysis_spec(p=2, k=5, min_support=10)
-    mapping = config.field_mapping()
-    marginals, index = ingest_file(log, spec, mapping, header=config.header)
-    baseline = generate_baseline(marginals, spec)
-    reports = recommend_all(index, baseline, spec)
-    result = PipelineResult(mapping, spec, marginals, index, baseline, reports, StageTimes())
+    settings = RunSettings(
+        categories=tuple(v.name for v in config.categories),
+        entity=config.entities.name,
+        p=2,
+        k=5,
+        min_support=10,
+    )
+    result = run_pipeline(RunConfig((log,), args.out, settings))
     written = write_artifacts(result, args.out, "csv")
     for path in written:
         print(f"wrote {path}")
 
-    by_entity = {report.entity: report for report in reports}
+    by_entity = {report.entity: report for report in result.reports}
     hit = 0
     for plant in manifest.planted:
         report = by_entity[plant.entity]
@@ -55,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
             flag = "  <- planted" if item.combination == plant.combination else ""
             print(f"  {'/'.join(item.combination):<40} distance={item.distance:.4f} "
                   f"rank={item.rank}/{item.cohort_size}{flag}")
-        bundle = explain(plant.entity, report, index, baseline)
+        bundle = explain(plant.entity, report, result.index, result.baseline)
         target = write_explanation(bundle, args.out / "explanations")
         print(f"  charts -> {target}")
     print(f"\nrecovered {hit} of {len(manifest.planted)} planted combinations in the top 5")

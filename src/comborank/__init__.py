@@ -23,7 +23,6 @@ from .config import (
 )
 from .explain import (
     ChartData,
-    ExplanationBundle,
     emit_report,
     explain,
     parse_reports,
@@ -33,7 +32,6 @@ from .explain import (
 from .ingest import (
     CategoryMarginals,
     ContingencyIndex,
-    LogRecord,
     MalformedLine,
     SchemaMismatch,
     aggregate,
@@ -46,16 +44,10 @@ from .ingest import (
     resolve_mapping,
 )
 from .rankstats import (
-    DistanceEntry,
-    DistanceTable,
-    EntityBaselineStats,
-    RankOrdering,
     baseline_stats,
     compute_distances,
-    compute_mrr,
     mrr_from_ranks,
     rank_ordering,
-    reciprocal_rank,
 )
 from .recommend import AnomalyItem, EntityAnomalyReport, recommend_all, top_k
 
@@ -70,16 +62,10 @@ __all__ = [
     "CombinationClass",
     "ConfigError",
     "ContingencyIndex",
-    "DistanceEntry",
-    "DistanceTable",
     "EmptyCategoryError",
     "EntityAnomalyReport",
-    "EntityBaselineStats",
-    "ExplanationBundle",
     "FieldMapping",
-    "LogRecord",
     "MalformedLine",
-    "RankOrdering",
     "RunSettings",
     "SchemaMismatch",
     "aggregate",
@@ -87,7 +73,6 @@ __all__ = [
     "baseline_stats",
     "classify",
     "compute_distances",
-    "compute_mrr",
     "emit_report",
     "explain",
     "generate_baseline",
@@ -100,7 +85,6 @@ __all__ = [
     "parse_reports",
     "rank_ordering",
     "recommend_all",
-    "reciprocal_rank",
     "render_chart",
     "resolve_mapping",
     "settings_from_file",

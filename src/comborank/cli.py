@@ -1,7 +1,8 @@
 """Command-line front end: discover, recommend, explain, synth, bench.
 
 Exit codes: 0 success, 1 usage errors (bad flags, missing subcommand),
-2 input or configuration errors (unreadable files, invalid config, empty
+2 input or configuration errors (unreadable, truncated or corrupt files,
+an input whose header differs from the first file's, invalid config, empty
 logs, unknown entities), 3 unexpected internal failures.
 """
 
@@ -11,7 +12,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+import zlib
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -19,14 +21,13 @@ from .baseline import BaselineSet, baseline_as_dict, generate_baseline
 from .config import (
     AnalysisSpec,
     ConfigError,
-    FieldMapping,
     RunSettings,
     parse_name_list,
     parse_p,
     settings_from_file,
 )
 from .explain import emit_report, explain, write_explanation
-from .ingest import CategoryMarginals, ContingencyIndex, ingest_paths, resolve_mapping
+from .ingest import ContingencyIndex, SchemaMismatch, ingest_paths, resolve_mapping
 from .rankstats import baseline_stats, compute_distances
 from .recommend import EntityAnomalyReport, top_k
 
@@ -73,23 +74,21 @@ class BenchResult:
 
     entries: int
     threads: int
-    ingest_s: float
-    baseline_s: float
-    rank_s: float
-    recommend_s: float
-    total_s: float
-    throughput: float
+    times: StageTimes
+
+    @property
+    def throughput(self) -> float:
+        total = self.times.total_s
+        return self.entries / total if total > 0 else 0.0
 
 
 @dataclass
 class PipelineResult:
-    mapping: FieldMapping
     spec: AnalysisSpec
-    marginals: CategoryMarginals
     index: ContingencyIndex
     baseline: BaselineSet
-    reports: list[EntityAnomalyReport]
     times: StageTimes
+    reports: list[EntityAnomalyReport] = field(default_factory=list)
 
 
 def _resolve_inputs(paths: Sequence[str | Path]) -> tuple[Path, ...]:
@@ -102,11 +101,13 @@ def _resolve_inputs(paths: Sequence[str | Path]) -> tuple[Path, ...]:
     return resolved
 
 
-def _prepare(config: RunConfig) -> tuple[FieldMapping, AnalysisSpec]:
+def discover(config: RunConfig) -> PipelineResult:
+    """Ingest and baseline, without reports; raises InputError on bad input."""
+    inputs = _resolve_inputs(config.inputs)
     settings = config.settings
     try:
         mapping = resolve_mapping(
-            config.inputs[0],
+            inputs[0],
             delimiter=settings.delimiter,
             header=settings.header,
             columns=settings.columns,
@@ -114,31 +115,26 @@ def _prepare(config: RunConfig) -> tuple[FieldMapping, AnalysisSpec]:
         )
         spec = settings.analysis_spec()
         spec.validate_mapping(mapping)
-    except ConfigError as exc:
-        raise InputError(str(exc)) from exc
-    return mapping, spec
-
-
-def run_pipeline(config: RunConfig) -> PipelineResult:
-    """Ingest, baseline, rank, and report; raises InputError on bad input."""
-    inputs = _resolve_inputs(config.inputs)
-    mapping, spec = _prepare(config)
-    times = StageTimes()
-
-    started = time.perf_counter()
-    try:
+        started = time.perf_counter()
         marginals, index = ingest_paths(
-            inputs, spec, mapping, header=config.settings.header, workers=config.threads
+            inputs, spec, mapping, header=settings.header, workers=config.threads
         )
     except (ConfigError, OSError) as exc:
         raise InputError(str(exc)) from exc
-    times.ingest_s = time.perf_counter() - started
+    times = StageTimes(ingest_s=time.perf_counter() - started)
     if index.total_records == 0:
         raise InputError("no accepted records in input (empty log or every line malformed)")
 
     started = time.perf_counter()
     baseline = generate_baseline(marginals, spec)
     times.baseline_s = time.perf_counter() - started
+    return PipelineResult(spec, index, baseline, times)
+
+
+def run_pipeline(config: RunConfig) -> PipelineResult:
+    """Discover, then rank and report; raises InputError on bad input."""
+    result = discover(config)
+    spec, index, baseline, times = result.spec, result.index, result.baseline, result.times
 
     started = time.perf_counter()
     stats = baseline_stats(index, baseline)
@@ -146,22 +142,24 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     times.rank_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    reports = [top_k(entity, table, spec.k) for entity in sorted(stats)]
+    result.reports = [top_k(entity, table, spec.k) for entity in sorted(stats)]
     times.recommend_s = time.perf_counter() - started
+    return result
 
-    return PipelineResult(mapping, spec, marginals, index, baseline, reports, times)
+
+def _write_baseline(baseline: BaselineSet, out_dir: Path) -> Path:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "baseline.json"
+    path.write_text(
+        json.dumps(baseline_as_dict(baseline), sort_keys=True, indent=2) + "\n",
+        encoding="utf-8",
+    )
+    return path
 
 
 def write_artifacts(result: PipelineResult, out_dir: Path, report_format: str) -> list[Path]:
     """Write baseline.json and reports; reports.json is always the canonical one."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    baseline_path = out_dir / "baseline.json"
-    baseline_path.write_text(
-        json.dumps(baseline_as_dict(result.baseline), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    written.append(baseline_path)
+    written = [_write_baseline(result.baseline, out_dir)]
     reports_path = out_dir / "reports.json"
     reports_path.write_text(emit_report(result.reports, "json"), encoding="utf-8")
     written.append(reports_path)
@@ -215,26 +213,12 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_discover(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    inputs = _resolve_inputs(config.inputs)
-    mapping, spec = _prepare(config)
-    try:
-        marginals, index = ingest_paths(
-            inputs, spec, mapping, header=config.settings.header, workers=config.threads
-        )
-    except (ConfigError, OSError) as exc:
-        raise InputError(str(exc)) from exc
-    if index.total_records == 0:
-        raise InputError("no accepted records in input (empty log or every line malformed)")
-    baseline = generate_baseline(marginals, spec)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    baseline_path = config.out_dir / "baseline.json"
-    baseline_path.write_text(
-        json.dumps(baseline_as_dict(baseline), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    result = discover(config)
+    baseline_path = _write_baseline(result.baseline, config.out_dir)
+    index = result.index
     print(
         f"ingest: {index.total_records} records ({index.rejected_records} rejected), "
-        f"baseline: {baseline.size} expected combinations"
+        f"baseline: {result.baseline.size} expected combinations"
     )
     print(f"wrote {baseline_path}")
     return EXIT_OK
@@ -317,40 +301,13 @@ def run_bench(
         config = bench_config(seed + size, size)
         log_path = out_dir / f"bench_{size}.csv"
         generate_log(config, log_path)
-        mapping = config.field_mapping()
-        spec = config.analysis_spec()
+        settings = RunSettings(
+            categories=tuple(v.name for v in config.categories), entity=config.entities.name
+        )
         try:
             for threads in thread_counts:
-                run = RunConfig(
-                    inputs=(log_path,),
-                    out_dir=out_dir,
-                    settings=RunSettings(
-                        categories=spec.categories,
-                        entity=spec.entity_field,
-                        p=spec.p,
-                        k=spec.k,
-                        min_support=spec.min_support,
-                        delimiter=mapping.delimiter,
-                        header=True,
-                    ),
-                    threads=threads,
-                )
-                result = run_pipeline(run)
-                times = result.times
-                results.append(
-                    BenchResult(
-                        entries=result.index.total_records,
-                        threads=threads,
-                        ingest_s=times.ingest_s,
-                        baseline_s=times.baseline_s,
-                        rank_s=times.rank_s,
-                        recommend_s=times.recommend_s,
-                        total_s=times.total_s,
-                        throughput=result.index.total_records / times.total_s
-                        if times.total_s > 0
-                        else 0.0,
-                    )
-                )
+                result = run_pipeline(RunConfig((log_path,), out_dir, settings, threads))
+                results.append(BenchResult(result.index.total_records, threads, result.times))
         finally:
             log_path.unlink(missing_ok=True)
     return results
@@ -363,13 +320,14 @@ def bench_csv(results: Sequence[BenchResult]) -> str:
     base: dict[int, float] = {}
     for row in results:
         if row.threads == 1:
-            base.setdefault(row.entries, row.total_s)
+            base.setdefault(row.entries, row.times.total_s)
     for row in results:
+        t = row.times
         reference = base.get(row.entries)
-        speedup = f"{reference / row.total_s:.2f}" if reference and row.total_s > 0 else ""
+        speedup = f"{reference / t.total_s:.2f}" if reference and t.total_s > 0 else ""
         lines.append(
-            f"{row.entries},{row.threads},{row.ingest_s:.4f},{row.baseline_s:.4f},"
-            f"{row.rank_s:.4f},{row.recommend_s:.4f},{row.total_s:.4f},"
+            f"{row.entries},{row.threads},{t.ingest_s:.4f},{t.baseline_s:.4f},"
+            f"{t.rank_s:.4f},{t.recommend_s:.4f},{t.total_s:.4f},"
             f"{row.throughput:.0f},{speedup}"
         )
     return "\n".join(lines) + "\n"
@@ -451,9 +409,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="comborank", description=__doc__)
     commands = parser.add_subparsers(dest="command", metavar="command")
 
-    discover = commands.add_parser("discover", help="ingest and write the expected combinations")
-    _analysis_flags(discover)
-    discover.set_defaults(handler=cmd_discover)
+    discover_cmd = commands.add_parser(
+        "discover", help="ingest and write the expected combinations"
+    )
+    _analysis_flags(discover_cmd)
+    discover_cmd.set_defaults(handler=cmd_discover)
 
     recommend = commands.add_parser("recommend", help="full pipeline: rank and report anomalies")
     _analysis_flags(recommend)
@@ -490,13 +450,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, ConfigError, SchemaMismatch, EOFError, zlib.error, OSError) as exc:
+        # A truncated gzip input raises EOFError, a corrupt one zlib.error.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -81,12 +81,6 @@ def rank_ordering(index: ContingencyIndex, combination: Sequence[str]) -> RankOr
     return RankOrdering(combo, entries, {entity: rank for entity, _count, rank in entries})
 
 
-def reciprocal_rank(ordering: RankOrdering, entity: str) -> float | None:
-    """1/rank of the entity in this cohort, or None when it is absent."""
-    rank = ordering.ranks.get(entity)
-    return None if rank is None else 1.0 / rank
-
-
 def mrr_from_ranks(ranks: Iterable[int | None]) -> float | None:
     """Mean reciprocal rank over present entries; None marks absence.
 
@@ -98,73 +92,47 @@ def mrr_from_ranks(ranks: Iterable[int | None]) -> float | None:
     return fsum(rrs) / len(rrs)
 
 
-@dataclass(frozen=True)
-class EntityBaselineStats:
-    """An entity's reciprocal ranks across the baseline combinations.
+class EntityBaselineStats(NamedTuple):
+    """An entity's baseline summary.
 
-    ``baseline_rrs`` only holds combinations where the entity appears.
-    ``expected_rank`` is 1/MRR, the rank the entity would need in a cohort to
-    look exactly as popular as its baseline average says.
+    ``baseline_presence`` counts the baseline combinations where the entity
+    appears.  ``expected_rank`` is 1/MRR, the rank the entity would need in a
+    cohort to look exactly as popular as its baseline average says.
     """
 
     entity: str
-    baseline_rrs: dict[tuple[str, ...], float]
     mrr: float | None
     expected_rank: float | None
-
-    @property
-    def baseline_presence(self) -> int:
-        return len(self.baseline_rrs)
-
-
-def _stats_from_rrs(entity: str, rrs: dict[tuple[str, ...], float]) -> EntityBaselineStats:
-    if not rrs:
-        return EntityBaselineStats(entity, rrs, None, None)
-    mean = fsum(rrs.values()) / len(rrs)
-    return EntityBaselineStats(entity, rrs, mean, 1.0 / mean)
-
-
-def compute_mrr(entity: str, baseline: BaselineSet, index: ContingencyIndex) -> EntityBaselineStats:
-    """Baseline statistics for one entity (see baseline_stats for the batch path)."""
-    if not baseline.combinations:
-        raise ValueError("baseline set is empty")
-    rrs: dict[tuple[str, ...], float] = {}
-    for combo in baseline.sorted_combinations():
-        cell = index.cells.get(combo)
-        if not cell or entity not in cell:
-            continue
-        for ranked_entity, _count, rank in _ranked(cell):
-            if ranked_entity == entity:
-                rrs[combo] = 1.0 / rank
-                break
-    return _stats_from_rrs(entity, rrs)
+    baseline_presence: int
 
 
 def baseline_stats(index: ContingencyIndex, baseline: BaselineSet) -> dict[str, EntityBaselineStats]:
     """Baseline statistics for every entity observed anywhere in the index.
 
-    Each observed baseline combination is ordered once and its reciprocal
-    ranks fanned out, so the cost is one sort per baseline cell instead of
-    one per (entity, cell) pair.
+    Each observed baseline combination is ordered once and its ranks fanned
+    out, so the cost is one sort per baseline cell instead of one per
+    (entity, cell) pair.
     """
     if not baseline.combinations:
         raise ValueError("baseline set is empty")
-    per_entity: dict[str, dict[tuple[str, ...], float]] = {
-        entity: {} for entity in sorted(index.entities())
-    }
+    per_entity: dict[str, list[int]] = {entity: [] for entity in sorted(index.entities())}
     for combo in baseline.sorted_combinations():
         cell = index.cells.get(combo)
         if not cell:
             continue
         for entity, _count, rank in _ranked(cell):
-            per_entity[entity][combo] = 1.0 / rank
-    return {entity: _stats_from_rrs(entity, rrs) for entity, rrs in per_entity.items()}
+            per_entity[entity].append(rank)
+    stats = {}
+    for entity, ranks in per_entity.items():
+        mrr = mrr_from_ranks(ranks)
+        expected = None if mrr is None else 1.0 / mrr
+        stats[entity] = EntityBaselineStats(entity, mrr, expected, len(ranks))
+    return stats
 
 
-class DistanceEntry(NamedTuple):
-    """One scored (entity, non-baseline combination) pair."""
+class AnomalyItem(NamedTuple):
+    """One scored (entity, non-baseline combination) pair with the evidence behind its score."""
 
-    entity: str
     combination: tuple[str, ...]
     distance: float
     rr: float
@@ -175,23 +143,10 @@ class DistanceEntry(NamedTuple):
 
 @dataclass
 class DistanceTable:
-    """Distances indexed by entity then combination, plus the stats behind them."""
+    """Scored pairs indexed by entity then combination, plus the stats behind them."""
 
-    by_entity: dict[str, dict[tuple[str, ...], DistanceEntry]]
+    by_entity: dict[str, dict[tuple[str, ...], AnomalyItem]]
     entity_stats: dict[str, EntityBaselineStats]
-
-    def get(self, entity: str, combination: Sequence[str]) -> DistanceEntry | None:
-        per_combo = self.by_entity.get(entity)
-        return per_combo.get(tuple(combination)) if per_combo else None
-
-    def distance(self, entity: str, combination: Sequence[str]) -> float:
-        entry = self.get(entity, combination)
-        if entry is None:
-            raise KeyError(f"no distance for {entity!r} in {tuple(combination)!r}")
-        return entry.distance
-
-    def entries_for(self, entity: str) -> list[DistanceEntry]:
-        return list(self.by_entity.get(entity, {}).values())
 
     def __len__(self) -> int:
         return sum(len(per_combo) for per_combo in self.by_entity.values())
@@ -210,7 +165,7 @@ def compute_distances(
     """
     expected = baseline.combinations
     mrrs = {entity: s.mrr for entity, s in stats.items() if s.mrr is not None}
-    by_entity: dict[str, dict[tuple[str, ...], DistanceEntry]] = {}
+    by_entity: dict[str, dict[tuple[str, ...], AnomalyItem]] = {}
     for combo, cell in index.cells.items():
         if combo in expected:
             continue
@@ -222,10 +177,10 @@ def compute_distances(
             if mrr is None:
                 continue
             rr = 1.0 / rank
-            entry = DistanceEntry(entity, combo, abs(rr - mrr), rr, rank, cohort, count)
+            item = AnomalyItem(combo, abs(rr - mrr), rr, rank, cohort, count)
             per_combo = by_entity.get(entity)
             if per_combo is None:
-                by_entity[entity] = {combo: entry}
+                by_entity[entity] = {combo: item}
             else:
-                per_combo[combo] = entry
+                per_combo[combo] = item
     return DistanceTable(by_entity, stats)

@@ -8,19 +8,7 @@ from operator import itemgetter
 from .baseline import BaselineSet
 from .config import AnalysisSpec
 from .ingest import ContingencyIndex
-from .rankstats import DistanceEntry, DistanceTable, baseline_stats, compute_distances
-
-
-@dataclass(frozen=True)
-class AnomalyItem:
-    """One reported combination with the evidence behind its score."""
-
-    combination: tuple[str, ...]
-    distance: float
-    rr: float
-    rank: int
-    cohort_size: int
-    count: int
+from .rankstats import AnomalyItem, DistanceTable, baseline_stats, compute_distances
 
 
 @dataclass(frozen=True)
@@ -38,14 +26,8 @@ class EntityAnomalyReport:
     items: tuple[AnomalyItem, ...]
 
 
-def _as_item(entry: DistanceEntry) -> AnomalyItem:
-    return AnomalyItem(
-        entry.combination, entry.distance, entry.rr, entry.rank, entry.cohort_size, entry.count
-    )
-
-
-_COMBINATION = itemgetter(DistanceEntry._fields.index("combination"))
-_DISTANCE = itemgetter(DistanceEntry._fields.index("distance"))
+_COMBINATION = itemgetter(AnomalyItem._fields.index("combination"))
+_DISTANCE = itemgetter(AnomalyItem._fields.index("distance"))
 
 
 def top_k(entity: str, table: DistanceTable, k: int) -> EntityAnomalyReport:
@@ -65,7 +47,7 @@ def top_k(entity: str, table: DistanceTable, k: int) -> EntityAnomalyReport:
         # Combination ascending, then stably distance descending.
         ordered = sorted(candidates.values(), key=_COMBINATION)
         ordered.sort(key=_DISTANCE, reverse=True)
-        items = tuple(_as_item(entry) for entry in ordered[:k])
+        items = tuple(ordered[:k])
     return EntityAnomalyReport(
         entity, stats.mrr, stats.expected_rank, stats.baseline_presence, items
     )

@@ -20,7 +20,6 @@ from comborank import (
     aggregate_lines,
     baseline_stats,
     compute_distances,
-    compute_mrr,
     emit_report,
     explain,
     generate_baseline,
@@ -89,12 +88,10 @@ def test_criterion_1_reciprocal_rank_average():
     lines, mapping, spec = reciprocal_profile_log()
     marginals, index = aggregate_lines(lines, spec, mapping)
     baseline = generate_baseline(marginals, spec)
-    stats = compute_mrr(RECIPROCAL_ENTITY, baseline, index)
+    stats = baseline_stats(index, baseline)[RECIPROCAL_ENTITY]
     assert stats.baseline_presence == 4
     assert stats.mrr is not None
     assert abs(stats.mrr - 0.325) <= 1e-12
-    batch = baseline_stats(index, baseline)[RECIPROCAL_ENTITY]
-    assert batch.mrr == stats.mrr
 
 
 def test_criterion_2_rank_profile_golden_values():
@@ -300,11 +297,11 @@ def test_criterion_6_invariant_suite(lines, data):
     for entity, entity_stats in stats.items():
         if entity_stats.mrr is not None:
             assert 0.0 < entity_stats.mrr <= 1.0
-    for per_combo in table.by_entity.values():
+    for entity, per_combo in table.by_entity.items():
         for combo, entry in per_combo.items():
             assert combo not in baseline.combinations
             assert 0.0 <= entry.distance < 1.0
-            assert entry.distance == abs(entry.rr - stats[entry.entity].mrr)
+            assert entry.distance == abs(entry.rr - stats[entity].mrr)
             assert 1 <= entry.rank <= entry.cohort_size
 
     factor = data.draw(st.integers(2, 7))

@@ -71,6 +71,20 @@ class TestCommands:
         assert len(doc["combinations"]) == 16
         assert "expected combinations" in capsys.readouterr().out
 
+    def test_discover_and_recommend_write_the_same_baseline(
+        self, sample_log, analysis_conf, tmp_path
+    ):
+        documents = []
+        for command in ("discover", "recommend"):
+            out_dir = tmp_path / command
+            rc = main([
+                command, "--config", str(analysis_conf), "--input", str(sample_log),
+                "--out", str(out_dir),
+            ])
+            assert rc == EXIT_OK
+            documents.append((out_dir / "baseline.json").read_bytes())
+        assert documents[1] == documents[0]
+
     def test_recommend_with_flag_overrides(self, sample_log, analysis_conf, tmp_path):
         out_dir = tmp_path / "out"
         rc = main([
@@ -225,6 +239,33 @@ class TestExitCodes:
         ])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["discover", "recommend"])
+    def test_second_input_with_other_header(self, sample_log, tmp_path, command):
+        other = tmp_path / "other.csv"
+        header, body = sample_log.read_text().split("\n", 1)
+        other.write_text(header.replace("entity", "customer") + "\n" + body)
+        rc = main([
+            command, "--input", str(sample_log), "--input", str(other),
+            "--out", str(tmp_path / "out"), "--categories", "cat1,cat2", "--entity", "entity",
+        ])
+        assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("command", ["discover", "recommend"])
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gzip_input(self, sample_log, tmp_path, command, damage):
+        data = bytearray(gzip.compress(sample_log.read_bytes()))
+        if damage == "truncated":
+            data = data[: len(data) // 2]
+        else:
+            data[10] = 0xFF  # first deflate block: reserved block type 3
+        gz_path = tmp_path / "log.csv.gz"
+        gz_path.write_bytes(data)
+        rc = main([
+            command, "--input", str(gz_path), "--out", str(tmp_path / "out"),
+            "--categories", "cat1,cat2", "--entity", "entity",
+        ])
+        assert rc == EXIT_INPUT
+
     def test_column_missing_from_header(self, tmp_path):
         log = tmp_path / "log.csv"
         log.write_text("a,b\n1,2\n")
@@ -270,14 +311,28 @@ def test_rank_profile_via_cli(tmp_path):
     assert len(doc["combinations"]) == 8
 
 
+_SRC = Path(comborank.__file__).resolve().parent.parent
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this package's ``src/`` on ``PYTHONPATH``."""
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_import_loads_only_analysis_modules():
     """Start-up pays for no module that only synth, bench or fan-out uses."""
     heavy = ("numpy", "multiprocessing", "urllib.request", "xml.sax")
     code = f"import sys, comborank.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    src = str(Path(comborank.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_demo_recovers_its_plants(tmp_path):
+    demo = _SRC.parent / "scripts" / "demo_pipeline.py"
+    proc = _run_python(str(demo), "--entries", "20000", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "recovered 2 of 2" in proc.stdout
+    assert (tmp_path / "reports.csv").is_file()

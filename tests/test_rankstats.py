@@ -9,10 +9,8 @@ from comborank import (
     ContingencyIndex,
     baseline_stats,
     compute_distances,
-    compute_mrr,
     mrr_from_ranks,
     rank_ordering,
-    reciprocal_rank,
 )
 
 
@@ -44,12 +42,6 @@ class TestRankOrdering:
         with pytest.raises(KeyError, match="not observed"):
             rank_ordering(index, ("b", "y"))
 
-    def test_reciprocal_rank(self):
-        index = _index({("a", "x"): {"e1": 9, "e2": 4}})
-        ordering = rank_ordering(index, ("a", "x"))
-        assert reciprocal_rank(ordering, "e2") == 0.5
-        assert reciprocal_rank(ordering, "ghost") is None
-
 
 class TestMrr:
     def test_known_average(self):
@@ -62,19 +54,6 @@ class TestMrr:
 
     def test_single_rank(self):
         assert mrr_from_ranks((4,)) == 0.25
-
-    def test_compute_mrr_matches_batch(self):
-        cells = {
-            ("a", "x"): {"e1": 9, "e2": 4, "e3": 2},
-            ("a", "y"): {"e1": 3, "e3": 5},
-            ("b", "x"): {"e2": 8},
-        }
-        index = _index(cells)
-        baseline = _baseline([("a", "x"), ("a", "y")])
-        batch = baseline_stats(index, baseline)
-        for entity in ("e1", "e2", "e3"):
-            single = compute_mrr(entity, baseline, index)
-            assert single == batch[entity]
 
     def test_absent_entity_has_no_mrr(self):
         index = _index({("a", "x"): {"e1": 2}, ("b", "y"): {"e9": 5}})
@@ -113,8 +92,7 @@ class TestComputeDistances:
     def test_distances_are_absolute_gaps(self):
         index, baseline, stats = self._setup()
         table = compute_distances(stats, index, baseline)
-        entry = table.get("e1", ("b", "x"))
-        assert entry is not None
+        entry = table.by_entity["e1"][("b", "x")]
         assert entry.rank == 2
         assert entry.rr == 0.5
         assert entry.distance == abs(0.5 - stats["e1"].mrr)
@@ -124,7 +102,7 @@ class TestComputeDistances:
     def test_baseline_combinations_not_scored(self):
         index, baseline, stats = self._setup()
         table = compute_distances(stats, index, baseline)
-        assert table.get("e1", ("a", "x")) is None
+        assert ("a", "x") not in table.by_entity["e1"]
 
     def test_entities_without_mrr_are_skipped(self):
         index, baseline, stats = self._setup()
@@ -132,22 +110,21 @@ class TestComputeDistances:
         stats_no_e3 = dict(stats)
         del stats_no_e3["e3"]
         table = compute_distances(stats_no_e3, index, baseline)
-        assert table.get("e3", ("b", "y")) is None
+        assert "e3" not in table.by_entity
 
     def test_min_support_filters_combinations(self):
         index, baseline, stats = self._setup()
         table = compute_distances(stats, index, baseline, min_support=5)
-        assert table.get("e1", ("b", "x")) is not None  # total 6
-        assert table.get("e3", ("b", "y")) is None  # total 4
+        assert ("b", "x") in table.by_entity["e1"]  # total 6
+        assert "e3" not in table.by_entity  # ("b", "y") totals 4
 
     def test_table_accessors(self):
         index, baseline, stats = self._setup()
         table = compute_distances(stats, index, baseline)
         assert len(table) == 3
-        assert {entry.combination for entry in table.entries_for("e1")} == {("b", "x")}
-        assert table.distance("e2", ("b", "x")) == abs(1.0 - stats["e2"].mrr)
-        with pytest.raises(KeyError):
-            table.distance("e1", ("b", "y"))
+        assert {entry.combination for entry in table.by_entity["e1"].values()} == {("b", "x")}
+        assert table.by_entity["e2"][("b", "x")].distance == abs(1.0 - stats["e2"].mrr)
+        assert ("b", "y") not in table.by_entity["e1"]
 
 
 _cells = st.dictionaries(
@@ -175,8 +152,8 @@ class TestInvariants:
                 assert 0.0 < entity_stats.mrr <= 1.0
                 assert entity_stats.expected_rank >= 1.0
                 assert isclose(entity_stats.expected_rank * entity_stats.mrr, 1.0)
-            for rr in entity_stats.baseline_rrs.values():
-                assert 0.0 < rr <= 1.0
+            presence = sum(entity_stats.entity in cells[combo] for combo in baseline.combinations)
+            assert entity_stats.baseline_presence == presence
         table = compute_distances(stats, index, baseline)
         for entity, per_combo in table.by_entity.items():
             for combo, entry in per_combo.items():
@@ -209,8 +186,7 @@ class TestInvariants:
         scaled_table = compute_distances(scaled_stats, scaled, baseline)
         for entity, per_combo in table.by_entity.items():
             for combo, entry in per_combo.items():
-                other = scaled_table.get(entity, combo)
-                assert other is not None
+                other = scaled_table.by_entity[entity][combo]
                 assert other.distance == entry.distance
                 assert other.rank == entry.rank
                 assert other.cohort_size == entry.cohort_size
