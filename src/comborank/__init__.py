@@ -8,9 +8,7 @@ where an entity sits furthest from its own baseline behaviour.
 
 from .baseline import (
     BaselineSet,
-    CombinationClass,
     EmptyCategoryError,
-    classify,
     generate_baseline,
     top_p_values,
 )
@@ -32,15 +30,10 @@ from .explain import (
 from .ingest import (
     CategoryMarginals,
     ContingencyIndex,
-    MalformedLine,
     SchemaMismatch,
-    aggregate,
-    aggregate_lines,
-    ingest_file,
+    ingest_lines,
     ingest_paths,
     merge_indexes,
-    merge_marginals,
-    parse_record,
     resolve_mapping,
 )
 from .rankstats import (
@@ -59,29 +52,22 @@ __all__ = [
     "BaselineSet",
     "CategoryMarginals",
     "ChartData",
-    "CombinationClass",
     "ConfigError",
     "ContingencyIndex",
     "EmptyCategoryError",
     "EntityAnomalyReport",
     "FieldMapping",
-    "MalformedLine",
     "RunSettings",
     "SchemaMismatch",
-    "aggregate",
-    "aggregate_lines",
     "baseline_stats",
-    "classify",
     "compute_distances",
     "emit_report",
     "explain",
     "generate_baseline",
-    "ingest_file",
+    "ingest_lines",
     "ingest_paths",
     "merge_indexes",
-    "merge_marginals",
     "mrr_from_ranks",
-    "parse_record",
     "parse_reports",
     "rank_ordering",
     "recommend_all",

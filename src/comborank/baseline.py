@@ -7,18 +7,11 @@ observed outside that product is a candidate for anomaly scoring.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
 from .config import AnalysisSpec, ConfigError
 from .ingest import CategoryMarginals
-
-
-class CombinationClass(enum.Enum):
-    BASELINE = "baseline"
-    NON_BASELINE = "non_baseline"
 
 
 class EmptyCategoryError(ValueError):
@@ -77,18 +70,6 @@ def generate_baseline(marginals: CategoryMarginals, spec: AnalysisSpec) -> Basel
         tops.append(tuple(values))
     combos = frozenset(product(*tops))
     return BaselineSet(tuple(spec.categories), tuple(tops), combos)
-
-
-def classify(combination: Sequence[str], baseline: BaselineSet) -> CombinationClass:
-    """Whether a combination belongs to the expected set or its complement."""
-    combo = tuple(combination)
-    if len(combo) != len(baseline.categories):
-        raise ConfigError(
-            f"combination arity {len(combo)} does not match {len(baseline.categories)} categories"
-        )
-    if combo in baseline.combinations:
-        return CombinationClass.BASELINE
-    return CombinationClass.NON_BASELINE
 
 
 def baseline_as_dict(baseline: BaselineSet) -> dict:

@@ -110,10 +110,6 @@ class AnalysisSpec:
         if self.min_support < 0:
             raise ConfigError(f"min_support must be >= 0, got {self.min_support}")
 
-    @property
-    def category_count(self) -> int:
-        return len(self.categories)
-
     def validate_mapping(self, mapping: FieldMapping) -> None:
         """Raise ConfigError unless every analysed column exists in the mapping."""
         for name in (*self.categories, self.entity_field):

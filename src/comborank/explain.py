@@ -120,22 +120,22 @@ def explain(
     )
 
 
-def _displayed_positions(chart: ChartData, budget: int) -> list[int]:
-    if chart.cohort_size <= budget:
+def _displayed_positions(chart: ChartData) -> list[int]:
+    if chart.cohort_size <= _BAR_BUDGET:
         return list(range(chart.cohort_size))
-    positions = list(range(budget))
+    positions = list(range(_BAR_BUDGET))
     focal = [
         i for i, (entity, _count) in enumerate(chart.series) if entity == chart.focal_entity
     ]
-    if focal and focal[0] >= budget:
+    if focal and focal[0] >= _BAR_BUDGET:
         positions.append(focal[0])
     return positions
 
 
-def render_chart(chart: ChartData, *, bar_budget: int = _BAR_BUDGET) -> str:
+def render_chart(chart: ChartData) -> str:
     """Draw one cohort as a self-contained SVG string.
 
-    Cohorts larger than ``bar_budget`` are down-sampled to the top bars plus
+    Cohorts larger than ``_BAR_BUDGET`` are down-sampled to the top bars plus
     the focal entity's bar at its true position; the marker placement always
     uses the full cohort geometry.
     """
@@ -179,7 +179,7 @@ def render_chart(chart: ChartData, *, bar_budget: int = _BAR_BUDGET) -> str:
         f'font-size="11" fill="{_TEXT_FILL}" text-anchor="end">0</text>'
     )
 
-    positions = _displayed_positions(chart, bar_budget)
+    positions = _displayed_positions(chart)
     bar_w = max(slot * 0.85, 0.5)
     for pos in positions:
         entity, count = chart.series[pos]
@@ -192,7 +192,7 @@ def render_chart(chart: ChartData, *, bar_budget: int = _BAR_BUDGET) -> str:
             f'fill="{fill}"><title>{escape(entity, quote=False)}: {count}</title></rect>'
         )
     if len(positions) < n:
-        note = f"top {bar_budget} of {n} entities shown"
+        note = f"top {_BAR_BUDGET} of {n} entities shown"
         parts.append(
             f'<text x="{_MARGIN_LEFT + plot_w}" y="42" font-family="sans-serif" '
             f'font-size="11" fill="{_TEXT_FILL}" text-anchor="end">'

@@ -5,19 +5,15 @@ and merging the partials gives exactly the same counts as one pass over the
 whole stream.  That makes multi-process ingestion bit-identical to
 single-process ingestion, which the rest of the pipeline relies on.
 
-Two routes produce the same aggregates:
-
-* ``parse_record`` + ``aggregate`` is the reference route over explicit
-  records, used by tests and small inputs.
-* ``ingest_paths`` is the production route.  It counts raw lines in batches
-  of ``_BATCH_LINES`` and splits and strips each distinct line of a batch
-  once, adding its multiplicity straight into the index cells; a line's
-  treatment depends only on its text, so this is exact.  In a single
-  context memory is bounded by the index plus one batch.  Marginals are
-  derived from the cell totals.  Plain files can be fanned out over byte
-  ranges with ``workers`` processes, whose cells the parent adds up.  Gzip
-  inputs are always read in a single context because the stream does not
-  support random access.
+``ingest_paths`` counts raw lines in batches of ``_BATCH_LINES`` and splits
+and strips each distinct line of a batch once, adding its multiplicity
+straight into the index cells; a line's treatment depends only on its text,
+so this is exact.  ``ingest_lines`` runs the same counting over lines already
+in memory.  In a single context memory is bounded by the index plus one
+batch.  Marginals are derived from the cell totals.  Plain files can be fanned
+out over byte ranges with ``workers`` processes, whose cells the parent adds
+up.  Gzip inputs are always read in a single context because the stream does
+not support random access.
 
 Malformed lines (wrong column count after splitting) are counted and skipped,
 never fatal.  Bytes that do not decode as UTF-8 are replaced, not rejected.
@@ -27,17 +23,15 @@ One UTF-8 byte order mark at the start of a file is dropped.
 from __future__ import annotations
 
 import gzip
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from os import cpu_count
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 from .config import AnalysisSpec, ConfigError, FieldMapping
-
-LogRecord = tuple[str, ...]
-"""One parsed log entry: one stripped value per mapped column."""
 
 _MIN_CHUNK_BYTES = 1 << 16
 _BATCH_LINES = 1 << 16
@@ -45,13 +39,8 @@ _BOM = b"\xef\xbb\xbf"
 
 Cells = dict[tuple[str, ...], dict[str, int]]
 
-
-class MalformedLine(ValueError):
-    """A physical line that cannot become a record; ``reason`` says why."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+# What a truncated, corrupt or non-gzip ``.gz`` input raises on read.
+_DAMAGED_GZIP = (EOFError, zlib.error, gzip.BadGzipFile)
 
 
 class SchemaMismatch(ValueError):
@@ -67,24 +56,6 @@ class CategoryMarginals:
     """
 
     counts: dict[str, dict[str, int]]
-
-    @classmethod
-    def empty(cls, categories: Sequence[str]) -> "CategoryMarginals":
-        return cls({c: {} for c in categories})
-
-    @property
-    def categories(self) -> tuple[str, ...]:
-        return tuple(self.counts)
-
-    def cardinality(self, category: str) -> int:
-        if category not in self.counts:
-            raise ConfigError(f"unknown category {category!r}")
-        return len(self.counts[category])
-
-    def total(self, category: str) -> int:
-        if category not in self.counts:
-            raise ConfigError(f"unknown category {category!r}")
-        return sum(self.counts[category].values())
 
 
 @dataclass
@@ -102,101 +73,14 @@ class ContingencyIndex:
     total_records: int = 0
     rejected_records: int = 0
 
-    @classmethod
-    def empty(cls, spec: AnalysisSpec) -> "ContingencyIndex":
-        return cls(tuple(spec.categories), spec.entity_field)
-
     def schema(self) -> tuple[tuple[str, ...], str]:
         return (self.categories, self.entity_field)
-
-    def combination_total(self, combination: Sequence[str]) -> int:
-        cell = self.cells.get(tuple(combination))
-        return sum(cell.values()) if cell else 0
 
     def entities(self) -> set[str]:
         seen: set[str] = set()
         for cell in self.cells.values():
             seen.update(cell)
         return seen
-
-    def cell_sum(self) -> int:
-        return sum(n for cell in self.cells.values() for n in cell.values())
-
-
-def parse_record(line: str, mapping: FieldMapping) -> LogRecord:
-    """Split one physical line into a record, or raise MalformedLine.
-
-    Fields are whitespace-stripped; a field that is empty after stripping
-    becomes ``mapping.missing_token``.  The only rejection is a column-count
-    mismatch, so any line with the right number of delimiters is a record.
-    """
-    fields = line.split(mapping.delimiter)
-    if len(fields) != mapping.column_count:
-        raise MalformedLine(
-            f"expected {mapping.column_count} columns, got {len(fields)}"
-        )
-    return tuple(f.strip() or mapping.missing_token for f in fields)
-
-
-def aggregate(
-    records: Iterable[LogRecord],
-    spec: AnalysisSpec,
-    mapping: FieldMapping,
-) -> tuple[CategoryMarginals, ContingencyIndex]:
-    """Reference aggregation of already-parsed records under a spec."""
-    spec.validate_mapping(mapping)
-    cat_idx = [mapping.index_of(c) for c in spec.categories]
-    ent_idx = mapping.index_of(spec.entity_field)
-    marginals = {c: {} for c in spec.categories}
-    per_cat = [marginals[c] for c in spec.categories]
-    cells: dict[tuple[str, ...], dict[str, int]] = {}
-    total = 0
-    for rec in records:
-        combination = tuple(rec[i] for i in cat_idx)
-        entity = rec[ent_idx]
-        for counts, value in zip(per_cat, combination):
-            counts[value] = counts.get(value, 0) + 1
-        cell = cells.get(combination)
-        if cell is None:
-            cells[combination] = {entity: 1}
-        else:
-            cell[entity] = cell.get(entity, 0) + 1
-        total += 1
-    index = ContingencyIndex(tuple(spec.categories), spec.entity_field, cells, total, 0)
-    return CategoryMarginals(marginals), index
-
-
-def aggregate_lines(
-    lines: Iterable[str],
-    spec: AnalysisSpec,
-    mapping: FieldMapping,
-) -> tuple[CategoryMarginals, ContingencyIndex]:
-    """Reference parse-then-aggregate over raw lines, counting rejections."""
-    rejected = 0
-
-    def records() -> Iterator[LogRecord]:
-        nonlocal rejected
-        for line in lines:
-            try:
-                yield parse_record(line, mapping)
-            except MalformedLine:
-                rejected += 1
-
-    marginals, index = aggregate(records(), spec, mapping)
-    index.rejected_records = rejected
-    return marginals, index
-
-
-def merge_marginals(a: CategoryMarginals, b: CategoryMarginals) -> CategoryMarginals:
-    """Pointwise sum of two marginal tables over the same categories."""
-    if a.categories != b.categories:
-        raise SchemaMismatch(f"marginal categories differ: {a.categories} vs {b.categories}")
-    merged = {c: dict(counts) for c, counts in a.counts.items()}
-    for category, counts in b.counts.items():
-        mine = merged[category]
-        for value, n in counts.items():
-            mine[value] = mine.get(value, 0) + n
-    return CategoryMarginals(merged)
 
 
 def _add_cells(into: Cells, other: Cells) -> None:
@@ -229,7 +113,7 @@ def merge_indexes(a: ContingencyIndex, b: ContingencyIndex) -> ContingencyIndex:
 # --- production path ---------------------------------------------------------
 
 def _used_indexes(spec: AnalysisSpec, mapping: FieldMapping) -> tuple[int, ...]:
-    """Column positions of the categories, in spec order, then of the entity."""
+    """Category column positions in spec order, then the entity's; ConfigError if absent."""
     return tuple(
         [mapping.index_of(c) for c in spec.categories] + [mapping.index_of(spec.entity_field)]
     )
@@ -319,10 +203,18 @@ def open_log_text(path: str | Path) -> IO[str]:
     return open(path, "r", encoding="utf-8-sig", errors="replace")
 
 
+def _with_path(exc: Exception, path: str | Path) -> Exception:
+    """``exc`` again with the input's path in front, which gzip's messages omit."""
+    return type(exc)(f"{path}: {exc}")
+
+
 def read_header(path: str | Path, delimiter: str) -> tuple[str, ...]:
     """Column names from the first line of a log file."""
-    with open_log_text(path) as handle:
-        first = handle.readline()
+    try:
+        with open_log_text(path) as handle:
+            first = handle.readline()
+    except _DAMAGED_GZIP as exc:
+        raise _with_path(exc, path) from exc
     if not first:
         raise ConfigError(f"{path}: empty file, no header to read")
     names = tuple(name.strip() for name in first.rstrip("\r\n").split(delimiter))
@@ -433,16 +325,13 @@ def resolve_workers(workers: int) -> int:
 
 def _count_file(
     path: Path,
-    spec: AnalysisSpec,
     mapping: FieldMapping,
+    used_indexes: tuple[int, ...],
     header: bool,
     workers: int,
     cells: Cells,
 ) -> tuple[int, int]:
     """Add one log file's lines into ``cells``; returns (accepted, rejected)."""
-    spec.validate_mapping(mapping)
-    workers = resolve_workers(workers)
-    used = _used_indexes(spec, mapping)
     if header:
         observed = read_header(path, mapping.delimiter)
         if observed != mapping.column_names:
@@ -456,10 +345,13 @@ def _count_file(
         data_start = _data_offset(path, header)
         ranges = _chunk_ranges(path.stat().st_size, data_start, workers)
     if len(ranges) <= 1:
-        with open_log_text(path) as handle:
-            if header:
-                handle.readline()
-            return _count_lines(handle, mapping, used, cells)
+        try:
+            with open_log_text(path) as handle:
+                if header:
+                    handle.readline()
+                return _count_lines(handle, mapping, used_indexes, cells)
+        except _DAMAGED_GZIP as exc:
+            raise _with_path(exc, path) from exc
     # Imported here so single-worker runs never load multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
@@ -467,7 +359,7 @@ def _count_file(
     rejected = 0
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         futures = [
-            pool.submit(_parse_byte_range, str(path), lo, hi, data_start, mapping, used)
+            pool.submit(_parse_byte_range, str(path), lo, hi, data_start, mapping, used_indexes)
             for lo, hi in ranges
         ]
         for future in futures:
@@ -478,21 +370,13 @@ def _count_file(
     return total, rejected
 
 
-def ingest_file(
-    path: str | Path,
-    spec: AnalysisSpec,
-    mapping: FieldMapping,
-    *,
-    header: bool = True,
-    workers: int = 1,
+def ingest_lines(
+    lines: Iterable[str], spec: AnalysisSpec, mapping: FieldMapping
 ) -> tuple[CategoryMarginals, ContingencyIndex]:
-    """Aggregate one log file, fanning plain files out over byte ranges.
-
-    ``workers`` is the process count (0 = one per CPU).  Gzip files are
-    always streamed in a single context.  The result is identical for every
-    worker count because partial aggregates merge exactly.
-    """
-    return ingest_paths([path], spec, mapping, header=header, workers=workers)
+    """Aggregate data lines (no header) exactly as ``ingest_paths`` counts a file's."""
+    cells: Cells = {}
+    total, rejected = _count_lines(lines, mapping, _used_indexes(spec, mapping), cells)
+    return _aggregates(cells, total, rejected, spec)
 
 
 def ingest_paths(
@@ -503,14 +387,22 @@ def ingest_paths(
     header: bool = True,
     workers: int = 1,
 ) -> tuple[CategoryMarginals, ContingencyIndex]:
-    """Aggregate several log files under one mapping into one index."""
+    """Aggregate several log files under one mapping into one index.
+
+    ``workers`` is the process count (0 = one per CPU).  Plain files fan out
+    over byte ranges; gzip files are always streamed in a single context.
+    The result is identical for every worker count because partial
+    aggregates merge exactly.
+    """
     if not paths:
         raise ConfigError("no input paths given")
+    used_indexes = _used_indexes(spec, mapping)
+    workers = resolve_workers(workers)
     cells: Cells = {}
     total = 0
     rejected = 0
     for path in paths:
-        accepted, skipped = _count_file(Path(path), spec, mapping, header, workers, cells)
+        accepted, skipped = _count_file(Path(path), mapping, used_indexes, header, workers, cells)
         total += accepted
         rejected += skipped
     return _aggregates(cells, total, rejected, spec)

@@ -17,7 +17,7 @@ how far the entity sits from where its baseline behaviour says it should.
 All reciprocal-rank sums go through ``math.fsum``, which is exactly rounded
 and therefore insensitive to accumulation order.  Combined with integer
 counts this makes every statistic bit-identical regardless of how the input
-was chunked or which of the two aggregation routes produced the index.
+was chunked or how many workers built the index.
 """
 
 from __future__ import annotations

@@ -17,15 +17,14 @@ from comborank import (
     CategoryMarginals,
     FieldMapping,
     RunSettings,
-    aggregate_lines,
     baseline_stats,
     compute_distances,
     emit_report,
     explain,
     generate_baseline,
-    ingest_file,
+    ingest_lines,
+    ingest_paths,
     merge_indexes,
-    merge_marginals,
     mrr_from_ranks,
     rank_ordering,
     recommend_all,
@@ -73,7 +72,7 @@ def _focal_marker(svg: str) -> ET.Element:
 
 
 def _analyze(lines, mapping, spec):
-    marginals, index = aggregate_lines(lines, spec, mapping)
+    marginals, index = ingest_lines(lines, spec, mapping)
     baseline = generate_baseline(marginals, spec)
     reports = recommend_all(index, baseline, spec)
     return index, baseline, {r.entity: r for r in reports}
@@ -86,7 +85,7 @@ def test_criterion_1_reciprocal_rank_average():
     assert abs(direct - 0.325) <= 1e-12
 
     lines, mapping, spec = reciprocal_profile_log()
-    marginals, index = aggregate_lines(lines, spec, mapping)
+    marginals, index = ingest_lines(lines, spec, mapping)
     baseline = generate_baseline(marginals, spec)
     stats = baseline_stats(index, baseline)[RECIPROCAL_ENTITY]
     assert stats.baseline_presence == 4
@@ -168,7 +167,7 @@ def test_criterion_3_baseline_combinatorics():
     )
 
     lines, mapping, tiny_spec = tiny_browser_log()
-    marginals, _ = aggregate_lines(lines, tiny_spec, mapping)
+    marginals, _ = ingest_lines(lines, tiny_spec, mapping)
     tiny_baseline = generate_baseline(marginals, tiny_spec)
     assert tiny_baseline.combinations == frozenset({("F", "US"), ("S", "US")})
 
@@ -220,7 +219,7 @@ def test_criterion_4_differential_two_hundred_seeds(tmp_path):
         log = tmp_path / "differential.csv"
         generate_log(config, log)
         mapping = config.field_mapping()
-        marginals, index = ingest_file(log, spec, mapping, header=True, workers=1)
+        marginals, index = ingest_paths([log], spec, mapping, header=True, workers=1)
         baseline = generate_baseline(marginals, spec)
         pipeline_reports = recommend_all(index, baseline, spec)
         reference_reports = oracle_recommend(log, spec, delimiter=config.delimiter)
@@ -278,16 +277,15 @@ def test_criterion_6_invariant_suite(lines, data):
     """Randomized invariants: chunk merges, statistic bounds, scale freedom."""
     cuts = sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=3)))
     bounds = [0, *cuts, len(lines)]
-    whole_m, whole_i = aggregate_lines(lines, _INV_SPEC, _INV_MAPPING)
-    part_m, part_i = aggregate_lines([], _INV_SPEC, _INV_MAPPING)
+    whole_m, whole_i = ingest_lines(lines, _INV_SPEC, _INV_MAPPING)
+    _, part_i = ingest_lines([], _INV_SPEC, _INV_MAPPING)
     for lo, hi in zip(bounds, bounds[1:]):
-        chunk_m, chunk_i = aggregate_lines(lines[lo:hi], _INV_SPEC, _INV_MAPPING)
-        part_m = merge_marginals(part_m, chunk_m)
+        _, chunk_i = ingest_lines(lines[lo:hi], _INV_SPEC, _INV_MAPPING)
         part_i = merge_indexes(part_i, chunk_i)
-    assert part_m.counts == whole_m.counts
     assert part_i.cells == whole_i.cells
     assert part_i.total_records == whole_i.total_records
-    assert whole_i.cell_sum() == whole_i.total_records
+    cell_sum = sum(n for cell in whole_i.cells.values() for n in cell.values())
+    assert cell_sum == whole_i.total_records
 
     if whole_i.total_records == 0:
         return
@@ -334,7 +332,7 @@ def test_criterion_7_planted_recall(tmp_path):
         manifest = generate_log(config, log)
         spec = config.analysis_spec(p=2, k=5, min_support=20)
         mapping = config.field_mapping()
-        marginals, index = ingest_file(log, spec, mapping, header=True, workers=1)
+        marginals, index = ingest_paths([log], spec, mapping, header=True, workers=1)
         baseline = generate_baseline(marginals, spec)
         reports = {r.entity: r for r in recommend_all(index, baseline, spec)}
         recovered = all(
@@ -399,7 +397,7 @@ def test_criterion_9_explanation_fidelity(tmp_path):
     manifest = generate_log(config, log)
     spec = config.analysis_spec(p=2, k=5, min_support=10)
     mapping = config.field_mapping()
-    marginals, index = ingest_file(log, spec, mapping, header=True, workers=1)
+    marginals, index = ingest_paths([log], spec, mapping, header=True, workers=1)
     baseline = generate_baseline(marginals, spec)
     reports = {r.entity: r for r in recommend_all(index, baseline, spec)}
 

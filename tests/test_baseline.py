@@ -5,15 +5,13 @@ import pytest
 from comborank import (
     AnalysisSpec,
     CategoryMarginals,
-    CombinationClass,
     ConfigError,
     EmptyCategoryError,
-    classify,
     generate_baseline,
     top_p_values,
 )
 from comborank.baseline import baseline_as_dict
-from comborank.ingest import aggregate_lines
+from comborank.ingest import ingest_lines
 
 from fixture_logs import tiny_browser_log
 
@@ -77,29 +75,11 @@ class TestGenerateBaseline:
 
     def test_tiny_log_end_to_end(self):
         lines, mapping, spec = tiny_browser_log()
-        marginals, _ = aggregate_lines(lines, spec, mapping)
+        marginals, _ = ingest_lines(lines, spec, mapping)
         assert marginals.counts["Browser"] == {"F": 5, "S": 3, "C": 1}
         assert marginals.counts["Country"] == {"US": 6, "UK": 3}
         baseline = generate_baseline(marginals, spec)
         assert baseline.combinations == frozenset({("F", "US"), ("S", "US")})
-
-
-class TestClassify:
-    def test_membership(self):
-        spec = AnalysisSpec(
-            categories=("Browser", "Country"), entity_field="Customer", p=(2, 1)
-        )
-        baseline = generate_baseline(WEB_MARGINALS, spec)
-        assert classify(("Firefox", "US"), baseline) is CombinationClass.BASELINE
-        assert classify(("Edge", "US"), baseline) is CombinationClass.NON_BASELINE
-
-    def test_arity_check(self):
-        spec = AnalysisSpec(
-            categories=("Browser", "Country"), entity_field="Customer", p=1
-        )
-        baseline = generate_baseline(WEB_MARGINALS, spec)
-        with pytest.raises(ConfigError, match="arity"):
-            classify(("Firefox",), baseline)
 
 
 def test_baseline_as_dict_is_sorted():

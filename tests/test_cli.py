@@ -251,20 +251,25 @@ class TestExitCodes:
         assert rc == EXIT_INPUT
 
     @pytest.mark.parametrize("command", ["discover", "recommend"])
-    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
-    def test_damaged_gzip_input(self, sample_log, tmp_path, command, damage):
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt", "not_gzip"])
+    def test_damaged_gzip_input(self, sample_log, tmp_path, command, damage, capsys):
+        """Exit 2 naming the bad file, whether it comes first or after a good one."""
         data = bytearray(gzip.compress(sample_log.read_bytes()))
         if damage == "truncated":
             data = data[: len(data) // 2]
-        else:
+        elif damage == "corrupt":
             data[10] = 0xFF  # first deflate block: reserved block type 3
+        else:
+            data = sample_log.read_bytes()
         gz_path = tmp_path / "log.csv.gz"
         gz_path.write_bytes(data)
-        rc = main([
-            command, "--input", str(gz_path), "--out", str(tmp_path / "out"),
-            "--categories", "cat1,cat2", "--entity", "entity",
-        ])
-        assert rc == EXIT_INPUT
+        for inputs in ([gz_path], [sample_log, gz_path]):
+            rc = main([
+                command, *(arg for path in inputs for arg in ("--input", str(path))),
+                "--out", str(tmp_path / "out"), "--categories", "cat1,cat2", "--entity", "entity",
+            ])
+            assert rc == EXIT_INPUT
+            assert f"error: {gz_path}: " in capsys.readouterr().err
 
     def test_column_missing_from_header(self, tmp_path):
         log = tmp_path / "log.csv"
@@ -328,6 +333,20 @@ def test_import_loads_only_analysis_modules():
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_public_api_is_pinned():
+    """Growing or shrinking the package surface has to show up in this list."""
+    assert sorted(comborank.__all__) == [
+        "AnalysisSpec", "AnomalyItem", "BaselineSet", "CategoryMarginals", "ChartData",
+        "ConfigError", "ContingencyIndex", "EmptyCategoryError", "EntityAnomalyReport",
+        "FieldMapping", "RunSettings", "SchemaMismatch", "baseline_stats",
+        "compute_distances", "emit_report", "explain", "generate_baseline", "ingest_lines",
+        "ingest_paths", "merge_indexes", "mrr_from_ranks", "parse_reports", "rank_ordering",
+        "recommend_all", "render_chart", "resolve_mapping", "settings_from_file", "top_k",
+        "top_p_values", "write_explanation",
+    ]
+    assert all(hasattr(comborank, name) for name in comborank.__all__)
 
 
 def test_demo_recovers_its_plants(tmp_path):

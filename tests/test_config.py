@@ -52,7 +52,6 @@ class TestAnalysisSpec:
     def test_broadcasts_scalar_p(self):
         spec = AnalysisSpec(categories=("a", "b", "c"), entity_field="e", p=2)
         assert spec.p == (2, 2, 2)
-        assert spec.category_count == 3
 
     def test_per_category_p(self):
         spec = AnalysisSpec(categories=("a", "b"), entity_field="e", p=(2, 1))

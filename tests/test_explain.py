@@ -18,7 +18,7 @@ from comborank import (
     write_explanation,
 )
 from comborank.explain import combination_slug
-from comborank.ingest import aggregate_lines
+from comborank.ingest import ingest_lines
 
 from fixture_logs import ENTITY_A, rank_profile_log
 
@@ -29,7 +29,7 @@ _PLOT_WIDTH = 960 - 56 - 24
 
 def _pipeline():
     lines, mapping, spec = rank_profile_log()
-    marginals, index = aggregate_lines(lines, spec, mapping)
+    marginals, index = ingest_lines(lines, spec, mapping)
     baseline = generate_baseline(marginals, spec)
     reports = recommend_all(index, baseline, spec)
     return index, baseline, {r.entity: r for r in reports}

@@ -8,20 +8,14 @@ from hypothesis import strategies as st
 
 from comborank import (
     AnalysisSpec,
-    CategoryMarginals,
     ContingencyIndex,
     FieldMapping,
-    MalformedLine,
     SchemaMismatch,
-    aggregate,
-    aggregate_lines,
     emit_report,
     generate_baseline,
-    ingest_file,
+    ingest_lines,
     ingest_paths,
     merge_indexes,
-    merge_marginals,
-    parse_record,
     recommend_all,
     resolve_mapping,
 )
@@ -32,68 +26,60 @@ MAPPING = FieldMapping(("Browser", "Country", "Customer"))
 SPEC = AnalysisSpec(categories=("Browser", "Country"), entity_field="Customer")
 
 
+def _cell_sum(index):
+    return sum(n for cell in index.cells.values() for n in cell.values())
+
+
 class TestParseRecord:
+    """How one data line becomes a record, or a rejection."""
+
     def test_parses_and_strips(self):
-        assert parse_record(" F , US , x1 \n", MAPPING) == ("F", "US", "x1")
+        _, index = ingest_lines([" F , US , x1 \n"], SPEC, MAPPING)
+        assert index.cells == {("F", "US"): {"x1": 1}}
 
     def test_missing_token_for_empty_fields(self):
-        assert parse_record("F,,x1", MAPPING) == ("F", "Unknown", "x1")
-        assert parse_record("F,  ,x1", MAPPING) == ("F", "Unknown", "x1")
+        _, index = ingest_lines(["F,,x1", "F,  ,x1"], SPEC, MAPPING)
+        assert index.cells == {("F", "Unknown"): {"x1": 2}}
 
     def test_column_mismatch_rejected(self):
-        with pytest.raises(MalformedLine) as err:
-            parse_record("F,US", MAPPING)
-        assert "expected 3 columns, got 2" in err.value.reason
-        with pytest.raises(MalformedLine):
-            parse_record("F,US,x1,extra", MAPPING)
+        _, index = ingest_lines(["F,US", "F,US,x1,extra"], SPEC, MAPPING)
+        assert (index.total_records, index.rejected_records) == (0, 2)
+        assert index.cells == {}
 
     def test_custom_delimiter(self):
         mapping = FieldMapping(("a", "b"), delimiter="\t")
-        assert parse_record("1\t2", mapping) == ("1", "2")
+        spec = AnalysisSpec(categories=("a",), entity_field="b")
+        _, index = ingest_lines(["1\t2"], spec, mapping)
+        assert index.cells == {("1",): {"2": 1}}
 
 
 class TestAggregate:
     def test_counts_cells_and_marginals(self):
-        records = [("F", "US", "x1"), ("F", "US", "x2"), ("F", "UK", "x1"), ("S", "US", "x1")]
-        marginals, index = aggregate(records, SPEC, MAPPING)
+        lines = ["F,US,x1", "F,US,x2", "F,UK,x1", "S,US,x1"]
+        marginals, index = ingest_lines(lines, SPEC, MAPPING)
         assert marginals.counts["Browser"] == {"F": 3, "S": 1}
         assert marginals.counts["Country"] == {"US": 3, "UK": 1}
         assert index.cells[("F", "US")] == {"x1": 1, "x2": 1}
         assert index.cells[("S", "US")] == {"x1": 1}
         assert index.total_records == 4
-        assert index.cell_sum() == 4
+        assert _cell_sum(index) == 4
         assert index.entities() == {"x1", "x2"}
 
     def test_ignores_unmapped_columns(self):
         mapping = FieldMapping(("Browser", "Noise", "Country", "Customer"))
-        records = [("F", "zzz", "US", "x1")]
-        marginals, index = aggregate(records, SPEC, mapping)
+        marginals, index = ingest_lines(["F,zzz,US,x1"], SPEC, mapping)
         assert index.cells == {("F", "US"): {"x1": 1}}
         assert "zzz" not in str(marginals.counts)
 
     def test_lines_route_counts_rejections(self):
         lines = ["F,US,x1", "garbage", "F,UK,x2", "a,b,c,d"]
-        marginals, index = aggregate_lines(lines, SPEC, MAPPING)
+        marginals, index = ingest_lines(lines, SPEC, MAPPING)
         assert index.total_records == 2
         assert index.rejected_records == 2
         assert marginals.counts["Browser"] == {"F": 2}
 
-    def test_combination_total(self):
-        _, index = aggregate_lines(["F,US,x1", "F,US,x2"], SPEC, MAPPING)
-        assert index.combination_total(("F", "US")) == 2
-        assert index.combination_total(("S", "UK")) == 0
-
 
 class TestMerge:
-    def test_marginal_merge(self):
-        a = CategoryMarginals({"c": {"x": 1, "y": 2}})
-        b = CategoryMarginals({"c": {"y": 3, "z": 1}})
-        assert merge_marginals(a, b).counts == {"c": {"x": 1, "y": 5, "z": 1}}
-
-    def test_marginal_schema_mismatch(self):
-        with pytest.raises(SchemaMismatch):
-            merge_marginals(CategoryMarginals({"c": {}}), CategoryMarginals({"d": {}}))
-
     def test_index_merge(self):
         a = ContingencyIndex(("c",), "e", {("x",): {"e1": 1}}, 1, 0)
         b = ContingencyIndex(("c",), "e", {("x",): {"e1": 2, "e2": 1}, ("y",): {"e1": 1}}, 4, 1)
@@ -121,53 +107,62 @@ _line = st.builds(lambda f: ",".join(f), st.lists(_value, min_size=1, max_size=5
 _lines = st.lists(_line, max_size=60)
 
 
-def _assert_same_aggregates(result_a, result_b):
-    marginals_a, index_a = result_a
-    marginals_b, index_b = result_b
-    assert marginals_a.counts == marginals_b.counts
+def _assert_same_index(index_a, index_b):
     assert index_a.cells == index_b.cells
     assert index_a.total_records == index_b.total_records
     assert index_a.rejected_records == index_b.rejected_records
 
 
+def _assert_same_aggregates(result_a, result_b):
+    assert result_a[0].counts == result_b[0].counts
+    _assert_same_index(result_a[1], result_b[1])
+
+
+def _assert_matches_lines_and_oracle(path, lines, *, header):
+    """Ingest counts what ``lines`` hold, and its report equals the oracle's.
+
+    A line is a record exactly when it has three fields, so the accepted and
+    rejected counts are worked out here from the lines themselves.
+    """
+    marginals, index = ingest_paths([path], SPEC, MAPPING, header=header, workers=1)
+    accepted = sum(line.count(",") == 2 for line in lines)
+    assert (index.total_records, index.rejected_records) == (accepted, len(lines) - accepted)
+    assert _cell_sum(index) == index.total_records
+    if accepted:
+        reports = recommend_all(index, generate_baseline(marginals, SPEC), SPEC)
+        oracle = oracle_recommend(path, SPEC, header=header, columns=MAPPING.column_names)
+        assert emit_report(reports) == emit_report(oracle)
+
+
 class TestMergeProperties:
     @given(_lines, _lines)
     def test_merge_commutes(self, lines_a, lines_b):
-        marg_a, idx_a = aggregate_lines(lines_a, SPEC, MAPPING)
-        marg_b, idx_b = aggregate_lines(lines_b, SPEC, MAPPING)
-        assert merge_marginals(marg_a, marg_b).counts == merge_marginals(marg_b, marg_a).counts
-        ab, ba = merge_indexes(idx_a, idx_b), merge_indexes(idx_b, idx_a)
-        assert ab.cells == ba.cells
-        assert ab.total_records == ba.total_records
+        _, idx_a = ingest_lines(lines_a, SPEC, MAPPING)
+        _, idx_b = ingest_lines(lines_b, SPEC, MAPPING)
+        _assert_same_index(merge_indexes(idx_a, idx_b), merge_indexes(idx_b, idx_a))
 
     @given(_lines, _lines, _lines)
     def test_merge_associates(self, la, lb, lc):
-        parts = [aggregate_lines(lines, SPEC, MAPPING) for lines in (la, lb, lc)]
-        left = merge_indexes(merge_indexes(parts[0][1], parts[1][1]), parts[2][1])
-        right = merge_indexes(parts[0][1], merge_indexes(parts[1][1], parts[2][1]))
-        assert left.cells == right.cells
-        assert left.total_records == right.total_records
-        assert left.rejected_records == right.rejected_records
+        parts = [ingest_lines(lines, SPEC, MAPPING)[1] for lines in (la, lb, lc)]
+        left = merge_indexes(merge_indexes(parts[0], parts[1]), parts[2])
+        right = merge_indexes(parts[0], merge_indexes(parts[1], parts[2]))
+        _assert_same_index(left, right)
 
     @given(_lines)
     def test_empty_is_identity(self, lines):
-        marg, idx = aggregate_lines(lines, SPEC, MAPPING)
-        empty_m, empty_i = aggregate_lines([], SPEC, MAPPING)
-        _assert_same_aggregates(
-            (merge_marginals(marg, empty_m), merge_indexes(idx, empty_i)), (marg, idx)
-        )
+        _, idx = ingest_lines(lines, SPEC, MAPPING)
+        _, empty = ingest_lines([], SPEC, MAPPING)
+        _assert_same_index(merge_indexes(idx, empty), idx)
 
     @given(_lines, st.data())
     def test_chunked_equals_whole(self, lines, data):
         cuts = sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=4)))
         bounds = [0, *cuts, len(lines)]
-        whole = aggregate_lines(lines, SPEC, MAPPING)
-        merged_m, merged_i = aggregate_lines([], SPEC, MAPPING)
+        _, whole = ingest_lines(lines, SPEC, MAPPING)
+        _, merged = ingest_lines([], SPEC, MAPPING)
         for lo, hi in zip(bounds, bounds[1:]):
-            part_m, part_i = aggregate_lines(lines[lo:hi], SPEC, MAPPING)
-            merged_m = merge_marginals(merged_m, part_m)
-            merged_i = merge_indexes(merged_i, part_i)
-        _assert_same_aggregates((merged_m, merged_i), whole)
+            merged = merge_indexes(merged, ingest_lines(lines[lo:hi], SPEC, MAPPING)[1])
+        _assert_same_index(merged, whole)
 
 
 class TestIngestFile:
@@ -179,19 +174,17 @@ class TestIngestFile:
     def test_header_route_matches_reference(self, tmp_path):
         lines = ["F,US,x1", "F,,x2", "bad", "S,UK,x1"]
         path = self._write(tmp_path, "log.csv", "Browser,Country,Customer\n" + "\n".join(lines) + "\n")
-        fast = ingest_file(path, SPEC, MAPPING, header=True, workers=1)
-        reference = aggregate_lines(lines, SPEC, MAPPING)
-        _assert_same_aggregates(fast, reference)
+        _assert_matches_lines_and_oracle(path, lines, header=True)
 
     def test_headerless_route(self, tmp_path):
         path = self._write(tmp_path, "log.csv", "F,US,x1\nS,UK,x2\n")
-        _, index = ingest_file(path, SPEC, MAPPING, header=False, workers=1)
+        _, index = ingest_paths([path], SPEC, MAPPING, header=False, workers=1)
         assert index.total_records == 2
 
     def test_header_mismatch_raises(self, tmp_path):
         path = self._write(tmp_path, "log.csv", "A,B,C\nF,US,x1\n")
         with pytest.raises(SchemaMismatch, match="does not match mapping"):
-            ingest_file(path, SPEC, MAPPING, header=True)
+            ingest_paths([path], SPEC, MAPPING, header=True)
 
     def test_workers_agree_with_single_context(self, tmp_path):
         rows = [f"b{i % 7},c{i % 5},e{i % 11}" for i in range(5000)]
@@ -200,10 +193,11 @@ class TestIngestFile:
         path = self._write(
             tmp_path, "log.csv", "Browser,Country,Customer\n" + "\n".join(rows) + "\n"
         )
-        single = ingest_file(path, SPEC, MAPPING, header=True, workers=1)
+        single = ingest_paths([path], SPEC, MAPPING, header=True, workers=1)
+        assert (single[1].total_records, single[1].rejected_records) == (4998, 2)
         for workers in (2, 3, 8):
             _assert_same_aggregates(
-                ingest_file(path, SPEC, MAPPING, header=True, workers=workers), single
+                ingest_paths([path], SPEC, MAPPING, header=True, workers=workers), single
             )
 
     def test_worker_count_ignores_non_newline_separators(self, tmp_path, monkeypatch):
@@ -223,7 +217,7 @@ class TestIngestFile:
         spec = AnalysisSpec(categories=("Browser", "Country"), entity_field="Customer", k=3)
         documents = {}
         for workers in (1, 2, 4):
-            marginals, index = ingest_file(path, spec, MAPPING, header=True, workers=workers)
+            marginals, index = ingest_paths([path], spec, MAPPING, header=True, workers=workers)
             assert (index.total_records, index.rejected_records) == (3000, 0)
             baseline = generate_baseline(marginals, spec)
             documents[workers] = emit_report(recommend_all(index, baseline, spec))
@@ -239,8 +233,8 @@ class TestIngestFile:
         assert resolve_mapping(marked).column_names == MAPPING.column_names
         for workers in (1, 2):
             _assert_same_aggregates(
-                ingest_file(marked, SPEC, MAPPING, header=True, workers=workers),
-                ingest_file(plain, SPEC, MAPPING, header=True, workers=1),
+                ingest_paths([marked], SPEC, MAPPING, header=True, workers=workers),
+                ingest_paths([plain], SPEC, MAPPING, header=True, workers=1),
             )
         assert emit_report(oracle_recommend(marked, SPEC)) == emit_report(
             oracle_recommend(plain, SPEC)
@@ -257,11 +251,11 @@ class TestIngestFile:
         marked.write_bytes(b"\xef\xbb\xbf" + body)
         packed = tmp_path / "marked.csv.gz"
         packed.write_bytes(gzip.compress(b"\xef\xbb\xbf" + body))
-        expected = ingest_file(plain, spec, mapping, header=False, workers=1)
+        expected = ingest_paths([plain], spec, mapping, header=False, workers=1)
         assert expected[1].cells[("a", "x")] == {"e1": 1, "e2": 1}
         for path, workers in ((marked, 1), (marked, 2), (packed, 1)):
             _assert_same_aggregates(
-                ingest_file(path, spec, mapping, header=False, workers=workers), expected
+                ingest_paths([path], spec, mapping, header=False, workers=workers), expected
             )
         oracle = emit_report(oracle_recommend(marked, spec, header=False, columns=("c1", "c2", "e")))
         assert "\ufeff" not in oracle
@@ -274,19 +268,19 @@ class TestIngestFile:
         rows = "".join(f"S,UK,x{i % 3}\n" for i in range(200))
         path = tmp_path / "log.csv"
         path.write_bytes(("Browser,Country,Customer\rF,US,x1\n" + rows).encode())
-        single = ingest_file(path, SPEC, MAPPING, header=True, workers=1)
+        single = ingest_paths([path], SPEC, MAPPING, header=True, workers=1)
         assert single[1].total_records == 201
-        _assert_same_aggregates(ingest_file(path, SPEC, MAPPING, header=True, workers=2), single)
+        _assert_same_aggregates(ingest_paths([path], SPEC, MAPPING, header=True, workers=2), single)
 
     def test_no_trailing_newline(self, tmp_path):
         path = self._write(tmp_path, "log.csv", "Browser,Country,Customer\nF,US,x1")
-        _, index = ingest_file(path, SPEC, MAPPING, header=True, workers=1)
+        _, index = ingest_paths([path], SPEC, MAPPING, header=True, workers=1)
         assert index.total_records == 1
 
     def test_crlf_lines(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_bytes(b"Browser,Country,Customer\r\nF,US,x1\r\nS,UK,x2\r\n")
-        _, index = ingest_file(path, SPEC, MAPPING, header=True, workers=1)
+        _, index = ingest_paths([path], SPEC, MAPPING, header=True, workers=1)
         assert index.cells[("F", "US")] == {"x1": 1}
         assert index.total_records == 2
 
@@ -295,12 +289,12 @@ class TestIngestFile:
         with gzip.open(path, "wt", encoding="utf-8") as out:
             out.write("Browser,Country,Customer\nF,US,x1\nF,US,x2\n")
         # worker counts above one quietly fall back to a single context
-        _, index = ingest_file(path, SPEC, MAPPING, header=True, workers=4)
+        _, index = ingest_paths([path], SPEC, MAPPING, header=True, workers=4)
         assert index.cells[("F", "US")] == {"x1": 1, "x2": 1}
 
     def test_header_only_file(self, tmp_path):
         path = self._write(tmp_path, "log.csv", "Browser,Country,Customer\n")
-        _, index = ingest_file(path, SPEC, MAPPING, header=True, workers=4)
+        _, index = ingest_paths([path], SPEC, MAPPING, header=True, workers=4)
         assert index.total_records == 0
         assert index.cells == {}
 
@@ -320,7 +314,7 @@ def _repeating(element, max_size):
 
 
 class TestBatchedCounting:
-    """Counting distinct lines a batch at a time equals the per-record reference."""
+    """Counting distinct lines a batch at a time keeps every count and report exact."""
 
     @pytest.mark.parametrize("batch", [1, 2, 3, None])
     @settings(max_examples=25)
@@ -331,10 +325,7 @@ class TestBatchedCounting:
                 patch.setattr(ingest_module, "_BATCH_LINES", batch)
             path = Path(tmp) / "log.csv"
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-            _assert_same_aggregates(
-                ingest_file(path, SPEC, MAPPING, header=False, workers=1),
-                aggregate_lines(lines, SPEC, MAPPING),
-            )
+            _assert_matches_lines_and_oracle(path, lines, header=False)
 
 
 _noise = st.sampled_from(["", " ", "  ", "\t", "\v", "\f", "\u2028"])
@@ -351,7 +342,7 @@ _ending = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 class TestLineRule:
-    """One definition of a line, whatever the worker count: ROADMAP item 1's property."""
+    """One definition of a line, whatever the worker count, compression or file split."""
 
     @settings(max_examples=15)
     @given(
@@ -361,28 +352,41 @@ class TestLineRule:
         mark=st.booleans(),
         final_ending=st.booleans(),
         min_support=st.integers(1, 2),
+        split=st.integers(0, 41),
     )
-    def test_workers_and_oracle_agree(self, rows, first, header, mark, final_ending, min_support):
+    def test_workers_and_oracle_agree(
+        self, rows, first, header, mark, final_ending, min_support, split
+    ):
         columns = ("c1", "c2", "e")
         spec = AnalysisSpec(("c1", "c2"), "e", p=(1, 2), k=3, min_support=min_support)
         mapping = FieldMapping(columns)
         lines = [line + ending for line, ending in [first, *rows]]
         if not final_ending:
             lines[-1] = lines[-1].rstrip("\r\n")
-        text = ("\ufeff" if mark else "") + ("c1,c2,e\n" if header else "") + "".join(lines)
+        prefix = ("\ufeff" if mark else "") + ("c1,c2,e\n" if header else "")
+        cut = min(split, len(lines))
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 8)
-            path = Path(tmp) / "log.csv"
-            path.write_bytes(text.encode("utf-8"))
-            documents = []
-            for workers in (1, 2, 3, 4):
-                marginals, index = ingest_file(path, spec, mapping, header=header, workers=workers)
-                baseline = generate_baseline(marginals, spec)
-                documents.append(emit_report(recommend_all(index, baseline, spec)))
-            oracle = oracle_recommend(path, spec, header=header, columns=columns)
-        assert documents[1:] == documents[:1] * 3
-        assert emit_report(oracle) == documents[0]
-        assert "\ufeff" not in documents[0]
+            tmp = Path(tmp)
+            path = tmp / "log.csv"
+            path.write_bytes((prefix + "".join(lines)).encode("utf-8"))
+            packed = tmp / "log.csv.gz"
+            packed.write_bytes(gzip.compress(path.read_bytes()))
+            # each part is a file of its own: its own mark and header
+            parts = [tmp / "part1.csv", tmp / "part2.csv"]
+            for part, chunk in zip(parts, (lines[:cut], lines[cut:])):
+                part.write_bytes((prefix + "".join(chunk)).encode("utf-8"))
+            documents = {}
+            for name, paths in (("plain", [path]), ("gzip", [packed]), ("split", parts)):
+                for workers in (1, 2, 3, 4):
+                    marginals, index = ingest_paths(
+                        paths, spec, mapping, header=header, workers=workers
+                    )
+                    baseline = generate_baseline(marginals, spec)
+                    documents[name, workers] = emit_report(recommend_all(index, baseline, spec))
+            oracle = emit_report(oracle_recommend(path, spec, header=header, columns=columns))
+        assert documents == dict.fromkeys(documents, oracle)
+        assert "\ufeff" not in oracle
 
 
 class TestResolveMapping:
