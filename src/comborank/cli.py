@@ -26,7 +26,7 @@ from .config import (
     parse_p,
     settings_from_file,
 )
-from .explain import emit_report, explain, write_explanation
+from .explain import explain, write_explanation, write_report
 from .ingest import ContingencyIndex, SchemaMismatch, ingest_paths, resolve_mapping
 from .rankstats import baseline_stats, compute_distances
 from .recommend import EntityAnomalyReport, top_k
@@ -159,14 +159,12 @@ def _write_baseline(baseline: BaselineSet, out_dir: Path) -> Path:
 
 def write_artifacts(result: PipelineResult, out_dir: Path, report_format: str) -> list[Path]:
     """Write baseline.json and reports; reports.json is always the canonical one."""
-    written = [_write_baseline(result.baseline, out_dir)]
-    reports_path = out_dir / "reports.json"
-    reports_path.write_text(emit_report(result.reports, "json"), encoding="utf-8")
-    written.append(reports_path)
+    written = [
+        _write_baseline(result.baseline, out_dir),
+        write_report(result.reports, out_dir / "reports.json"),
+    ]
     if report_format == "csv":
-        csv_path = out_dir / "reports.csv"
-        csv_path.write_text(emit_report(result.reports, "csv"), encoding="utf-8")
-        written.append(csv_path)
+        written.append(write_report(result.reports, out_dir / "reports.csv", "csv"))
     return written
 
 

@@ -13,15 +13,16 @@ when they agree on every number.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import re
 from csv import writer as csv_writer
 from dataclasses import dataclass
 from html import escape
+from json.encoder import encode_basestring as _json_string
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Iterator, Sequence
 
 from .baseline import BaselineSet
 from .ingest import ContingencyIndex
@@ -219,7 +220,13 @@ def render_chart(chart: ChartData) -> str:
 
 # --- report documents ---------------------------------------------------------
 
-_json_string = json.JSONEncoder(ensure_ascii=False).encode
+_ENTITY = attrgetter("entity")
+
+# (mrr, expected_rank, baseline_presence, items) of an entity absent from
+# every baseline combination; its entry is the template with its name filled in.
+_UNSCORED = (None, None, 0, ())
+_UNSCORED_HEAD = '{\n      "baseline_presence": 0,\n      "entity": '
+_UNSCORED_TAIL = ',\n      "expected_rank": null,\n      "items": [],\n      "mrr": null\n    }'
 
 
 def _json_array(encoded: Sequence[str], indent: str) -> str:
@@ -248,17 +255,67 @@ def _item_json(item: AnomalyItem) -> str:
     )
 
 
-def _report_json(report: EntityAnomalyReport) -> str:
+def _report_json(report: EntityAnomalyReport, name: str) -> str:
+    """One entity's entry; ``name`` is its already-encoded entity string."""
+    if report[1:] == _UNSCORED:
+        return _UNSCORED_HEAD + name + _UNSCORED_TAIL
     items = _json_array([_item_json(item) for item in report.items], " " * 6)
     return (
         "{\n"
         f'      "baseline_presence": {report.baseline_presence!r},\n'
-        f'      "entity": {_json_string(report.entity)},\n'
+        f'      "entity": {name},\n'
         f'      "expected_rank": {_json_number(report.expected_rank)},\n'
         f'      "items": {items},\n'
         f'      "mrr": {_json_number(report.mrr)}\n'
         "    }"
     )
+
+
+def _json_chunks(ordered: Sequence[EntityAnomalyReport]) -> Iterator[str]:
+    """The JSON document in pieces: opening, one per entity, then the rest."""
+    absent: list[str] = []
+    if ordered:
+        separator = '{\n  "entities": [\n    '
+        for report in ordered:
+            name = _json_string(report.entity)
+            if report.mrr is None:
+                absent.append(name)
+            yield separator + _report_json(report, name)
+            separator = ",\n    "
+        yield "\n  ],\n"
+    else:
+        yield '{\n  "entities": [],\n'
+    yield (
+        f'  "no_baseline_presence": {_json_array(absent, "  ")},\n'
+        f'  "schema_version": {SCHEMA_VERSION}\n'
+        "}\n"
+    )
+
+
+def _write_csv(ordered: Sequence[EntityAnomalyReport], handle: IO[str]) -> None:
+    rows = csv_writer(handle, lineterminator="\n")
+    rows.writerow(
+        ["entity", "mrr", "expected_rank", "combination", "distance", "rr", "rank",
+         "cohort_size", "count"]
+    )
+    for report in ordered:
+        for item in report.items:
+            rows.writerow([
+                report.entity,
+                f"{report.mrr:.6g}",
+                f"{report.expected_rank:.6g}",
+                "|".join(item.combination),
+                f"{item.distance:.6g}",
+                f"{item.rr:.6g}",
+                item.rank,
+                item.cohort_size,
+                item.count,
+            ])
+
+
+def _check_format(format: str) -> None:
+    if format not in ("json", "csv"):
+        raise ValueError(f"unknown report format {format!r}")
 
 
 def emit_report(reports: Sequence[EntityAnomalyReport], format: str = "json") -> str:
@@ -273,39 +330,32 @@ def emit_report(reports: Sequence[EntityAnomalyReport], format: str = "json") ->
     has one row per item (entities without items do not appear) with floats
     at six significant digits, and joins combination values with ``|``.
     """
-    ordered = sorted(reports, key=lambda r: r.entity)
+    _check_format(format)
+    ordered = sorted(reports, key=_ENTITY)
     if format == "json":
-        entities = _json_array([_report_json(r) for r in ordered], "  ")
-        absent = _json_array([_json_string(r.entity) for r in ordered if r.mrr is None], "  ")
-        return (
-            "{\n"
-            f'  "entities": {entities},\n'
-            f'  "no_baseline_presence": {absent},\n'
-            f'  "schema_version": {SCHEMA_VERSION}\n'
-            "}\n"
-        )
-    if format == "csv":
-        buffer = io.StringIO()
-        rows = csv_writer(buffer, lineterminator="\n")
-        rows.writerow(
-            ["entity", "mrr", "expected_rank", "combination", "distance", "rr", "rank",
-             "cohort_size", "count"]
-        )
-        for report in ordered:
-            for item in report.items:
-                rows.writerow([
-                    report.entity,
-                    f"{report.mrr:.6g}",
-                    f"{report.expected_rank:.6g}",
-                    "|".join(item.combination),
-                    f"{item.distance:.6g}",
-                    f"{item.rr:.6g}",
-                    item.rank,
-                    item.cohort_size,
-                    item.count,
-                ])
-        return buffer.getvalue()
-    raise ValueError(f"unknown report format {format!r}")
+        return "".join(_json_chunks(ordered))
+    buffer = io.StringIO()
+    _write_csv(ordered, buffer)
+    return buffer.getvalue()
+
+
+def write_report(
+    reports: Sequence[EntityAnomalyReport], path: str | Path, format: str = "json"
+) -> Path:
+    """Write ``emit_report(reports, format)`` to ``path`` without holding the text.
+
+    The JSON document goes to the file one entity at a time and the CSV view
+    one row at a time, so memory stays at the reports themselves.
+    """
+    _check_format(format)
+    ordered = sorted(reports, key=_ENTITY)
+    path = Path(path)
+    with open(path, "w", encoding="utf-8") as handle:
+        if format == "json":
+            handle.writelines(_json_chunks(ordered))
+        else:
+            _write_csv(ordered, handle)
+    return path
 
 
 def parse_reports(text: str) -> list[EntityAnomalyReport]:
@@ -341,6 +391,9 @@ def parse_reports(text: str) -> list[EntityAnomalyReport]:
 # --- file layout ---------------------------------------------------------------
 
 def _slug(text: str) -> str:
+    # Only chart file names need a digest; analysis calls never load OpenSSL.
+    import hashlib
+
     safe = re.sub(r"[^A-Za-z0-9.-]", "-", text)[:32].strip("-") or "value"
     digest = hashlib.blake2s(text.encode("utf-8"), digest_size=4).hexdigest()
     return f"{safe}.{digest}"

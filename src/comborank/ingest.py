@@ -29,11 +29,12 @@ from dataclasses import dataclass, field
 from itertools import islice
 from os import cpu_count
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .config import AnalysisSpec, ConfigError, FieldMapping
 
 _MIN_CHUNK_BYTES = 1 << 16
+_BLOCK_BYTES = 1 << 20
 _BATCH_LINES = 1 << 16
 _BOM = b"\xef\xbb\xbf"
 
@@ -258,6 +259,47 @@ def _data_offset(path: Path, header: bool) -> int:
     return len(first)
 
 
+def _range_lines(handle: IO[bytes], start: int, end: int, owns_first: bool) -> Iterator[str]:
+    """Decoded lines of ``[start, end)`` from ``handle``, read in ``_BLOCK_BYTES`` blocks.
+
+    Each block is cut after its last ``\\n`` and the rest carried into the
+    next one.  A ``\\n`` byte never falls inside a UTF-8 sequence or between
+    ``\\r`` and ``\\n``, so the pieces decode and split exactly as the whole
+    range would.
+    """
+    left = end - start
+    carry = b""
+    while left > 0:
+        block = handle.read(min(_BLOCK_BYTES, left))
+        if not block:
+            break
+        left -= len(block)
+        if not owns_first:
+            cut = block.find(b"\n")
+            if cut < 0:
+                continue
+            block = block[cut + 1 :]
+            owns_first = True
+        block = carry + block
+        cut = block.rfind(b"\n") + 1
+        carry = block[cut:]
+        if cut:
+            yield from _split_lines(block[:cut].decode("utf-8", errors="replace"))
+    if not carry:
+        return
+    tail = [carry]
+    while True:
+        block = handle.read(_MIN_CHUNK_BYTES)
+        if not block:
+            break
+        cut = block.find(b"\n")
+        if cut >= 0:
+            tail.append(block[: cut + 1])
+            break
+        tail.append(block)
+    yield from _split_lines(b"".join(tail).decode("utf-8", errors="replace"))
+
+
 def _parse_byte_range(
     path_str: str,
     start: int,
@@ -270,10 +312,12 @@ def _parse_byte_range(
 
     A line straddling ``end`` belongs to this range; a line straddling
     ``start`` belongs to the previous one.  Together the ranges of a file
-    partition its data lines exactly once.
+    partition its data lines exactly once.  Memory is bounded by the cells
+    plus one block and one counting batch, whatever the range's size.
     """
+    cells: Cells = {}
     if start >= end:
-        return {}, 0, 0
+        return cells, 0, 0
     with open(path_str, "rb") as handle:
         if start == data_start:
             handle.seek(start)
@@ -281,27 +325,8 @@ def _parse_byte_range(
         else:
             handle.seek(start - 1)
             owns_first = handle.read(1) == b"\n"
-        buf = handle.read(end - start)
-        if not owns_first:
-            cut = buf.find(b"\n")
-            if cut < 0:
-                return {}, 0, 0
-            buf = buf[cut + 1 :]
-        if buf and not buf.endswith(b"\n"):
-            tail = []
-            while True:
-                block = handle.read(_MIN_CHUNK_BYTES)
-                if not block:
-                    break
-                cut = block.find(b"\n")
-                if cut >= 0:
-                    tail.append(block[: cut + 1])
-                    break
-                tail.append(block)
-            buf += b"".join(tail)
-    cells: Cells = {}
-    lines = _split_lines(buf.decode("utf-8", errors="replace"))
-    total, rejected = _count_lines(lines, mapping, used_indexes, cells)
+        lines = _range_lines(handle, start, end, owns_first)
+        total, rejected = _count_lines(lines, mapping, used_indexes, cells)
     return cells, total, rejected
 
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .baseline import BaselineSet
 from .config import AnalysisSpec
@@ -11,8 +11,7 @@ from .ingest import ContingencyIndex
 from .rankstats import AnomalyItem, DistanceTable, baseline_stats, compute_distances
 
 
-@dataclass(frozen=True)
-class EntityAnomalyReport:
+class EntityAnomalyReport(NamedTuple):
     """An entity's baseline summary and its highest-distance combinations.
 
     ``mrr`` is None for entities absent from every baseline combination;
@@ -42,14 +41,15 @@ def top_k(entity: str, table: DistanceTable, k: int) -> EntityAnomalyReport:
     if stats is None:
         raise KeyError(f"unknown entity {entity!r}")
     candidates = table.by_entity.get(entity)
-    items: tuple[AnomalyItem, ...] = ()
-    if candidates:
-        # Combination ascending, then stably distance descending.
-        ordered = sorted(candidates.values(), key=_COMBINATION)
-        ordered.sort(key=_DISTANCE, reverse=True)
-        items = tuple(ordered[:k])
+    if not candidates:
+        return EntityAnomalyReport(
+            entity, stats.mrr, stats.expected_rank, stats.baseline_presence, ()
+        )
+    # Combination ascending, then stably distance descending.
+    ordered = sorted(candidates.values(), key=_COMBINATION)
+    ordered.sort(key=_DISTANCE, reverse=True)
     return EntityAnomalyReport(
-        entity, stats.mrr, stats.expected_rank, stats.baseline_presence, items
+        entity, stats.mrr, stats.expected_rank, stats.baseline_presence, tuple(ordered[:k])
     )
 
 

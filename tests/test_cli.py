@@ -20,6 +20,7 @@ from comborank.cli import (
     main,
     run_bench,
     run_pipeline,
+    write_artifacts,
 )
 from comborank.config import RunSettings
 from comborank.synthgen import config_to_json, generate_log, synthetic_config
@@ -51,6 +52,14 @@ class TestRunPipeline:
         library = recommend_all(result.index, result.baseline, result.spec)
         assert emit_report(result.reports) == emit_report(library)
         assert result.times.total_s > 0
+
+    def test_written_reports_equal_emitted_text(self, sample_log, tmp_path):
+        settings = RunSettings(categories=("cat1", "cat2", "cat3", "cat4"), entity="entity", k=4)
+        result = run_pipeline(RunConfig((sample_log,), tmp_path, settings))
+        written = write_artifacts(result, tmp_path, "csv")
+        assert [path.name for path in written] == ["baseline.json", "reports.json", "reports.csv"]
+        for path, format in zip(written[1:], ("json", "csv")):
+            assert path.read_bytes() == emit_report(result.reports, format).encode("utf-8")
 
     def test_missing_input(self, tmp_path):
         settings = RunSettings(categories=("a",), entity="e")
@@ -327,8 +336,8 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_import_loads_only_analysis_modules():
-    """Start-up pays for no module that only synth, bench or fan-out uses."""
-    heavy = ("numpy", "multiprocessing", "urllib.request", "xml.sax")
+    """Start-up pays for no module that only synth, bench, fan-out or chart file names use."""
+    heavy = ("numpy", "multiprocessing", "urllib.request", "xml.sax", "hashlib", "_hashlib")
     code = f"import sys, comborank.cli; print([m for m in {heavy!r} if m in sys.modules])"
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr

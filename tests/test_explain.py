@@ -1,5 +1,7 @@
 import json
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -17,7 +19,7 @@ from comborank import (
     render_chart,
     write_explanation,
 )
-from comborank.explain import combination_slug
+from comborank.explain import combination_slug, write_report
 from comborank.ingest import ingest_lines
 
 from fixture_logs import ENTITY_A, rank_profile_log
@@ -204,8 +206,13 @@ class TestReportDocuments:
     @given(_report_lists)
     @example([])
     @example([EntityAnomalyReport("ghost", None, None, 0, ())])
+    @example([EntityAnomalyReport("odd", None, None, 1, ())])
     def test_json_matches_standard_encoder(self, reports):
-        assert emit_report(reports, "json") == _reference_json(reports)
+        text = emit_report(reports, "json")
+        assert text == _reference_json(reports)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_report(reports, Path(tmp) / "reports.json")
+            assert path.read_bytes() == text.encode("utf-8")
 
     def test_csv_flattens_items(self):
         _, _, reports = _pipeline()

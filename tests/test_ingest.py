@@ -339,6 +339,8 @@ _field = st.builds(
 _record = st.lists(_field, min_size=3, max_size=3).map(",".join)
 _malformed = st.sampled_from(["", "a", "a,b", "a,b,c,d", "\v,\f"])
 _ending = st.sampled_from(["\n", "\r\n", "\r"])
+# Bytes closing a record's last field: multi-byte, truncated and undecodable UTF-8.
+_tail = st.sampled_from([b"", "é".encode(), "\U0001f600".encode(), b"\xe2\x82", b"\xff"])
 
 
 class TestLineRule:
@@ -387,6 +389,33 @@ class TestLineRule:
             oracle = emit_report(oracle_recommend(path, spec, header=header, columns=columns))
         assert documents == dict.fromkeys(documents, oracle)
         assert "\ufeff" not in oracle
+
+    @settings(max_examples=10)
+    @given(
+        rows=_repeating(st.tuples(st.one_of(_record, _malformed), _tail, _ending), 40),
+        header=st.booleans(),
+        block=st.integers(1, 7),
+    )
+    def test_byte_ranges_read_in_small_blocks(self, rows, header, block):
+        """Blocks that cut lines, ``\\r\\n`` pairs and UTF-8 sequences change no count."""
+        columns = ("c1", "c2", "e")
+        spec = AnalysisSpec(("c1", "c2"), "e", p=(1, 2), k=3)
+        mapping = FieldMapping(columns)
+        body = b"".join(line.encode("utf-8") + tail + ending.encode() for line, tail, ending in rows)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 8)
+            patch.setattr(ingest_module, "_BLOCK_BYTES", block)
+            path = Path(tmp) / "log.csv"
+            path.write_bytes((b"c1,c2,e\n" if header else b"") + b"a,a,a\n" + body)
+            oracle = emit_report(oracle_recommend(path, spec, header=header, columns=columns))
+            _, whole = ingest_paths([path], spec, mapping, header=header, workers=1)
+            for workers in (2, 3, 4):
+                marginals, index = ingest_paths(
+                    [path], spec, mapping, header=header, workers=workers
+                )
+                _assert_same_index(index, whole)
+                baseline = generate_baseline(marginals, spec)
+                assert emit_report(recommend_all(index, baseline, spec)) == oracle, workers
 
 
 class TestResolveMapping:
