@@ -222,12 +222,6 @@ def render_chart(chart: ChartData) -> str:
 
 _ENTITY = attrgetter("entity")
 
-# (mrr, expected_rank, baseline_presence, items) of an entity absent from
-# every baseline combination; its entry is the template with its name filled in.
-_UNSCORED = (None, None, 0, ())
-_UNSCORED_HEAD = '{\n      "baseline_presence": 0,\n      "entity": '
-_UNSCORED_TAIL = ',\n      "expected_rank": null,\n      "items": [],\n      "mrr": null\n    }'
-
 
 def _json_array(encoded: Sequence[str], indent: str) -> str:
     """Already-encoded JSON values as an array whose brackets sit at ``indent``."""
@@ -257,8 +251,6 @@ def _item_json(item: AnomalyItem) -> str:
 
 def _report_json(report: EntityAnomalyReport, name: str) -> str:
     """One entity's entry; ``name`` is its already-encoded entity string."""
-    if report[1:] == _UNSCORED:
-        return _UNSCORED_HEAD + name + _UNSCORED_TAIL
     items = _json_array([_item_json(item) for item in report.items], " " * 6)
     return (
         "{\n"
@@ -313,8 +305,12 @@ def _write_csv(ordered: Sequence[EntityAnomalyReport], handle: IO[str]) -> None:
             ])
 
 
-def _check_format(format: str) -> None:
-    if format not in ("json", "csv"):
+def _write(ordered: Sequence[EntityAnomalyReport], handle: IO[str], format: str) -> None:
+    if format == "json":
+        handle.writelines(_json_chunks(ordered))
+    elif format == "csv":
+        _write_csv(ordered, handle)
+    else:
         raise ValueError(f"unknown report format {format!r}")
 
 
@@ -330,12 +326,8 @@ def emit_report(reports: Sequence[EntityAnomalyReport], format: str = "json") ->
     has one row per item (entities without items do not appear) with floats
     at six significant digits, and joins combination values with ``|``.
     """
-    _check_format(format)
-    ordered = sorted(reports, key=_ENTITY)
-    if format == "json":
-        return "".join(_json_chunks(ordered))
     buffer = io.StringIO()
-    _write_csv(ordered, buffer)
+    _write(sorted(reports, key=_ENTITY), buffer, format)
     return buffer.getvalue()
 
 
@@ -347,14 +339,10 @@ def write_report(
     The JSON document goes to the file one entity at a time and the CSV view
     one row at a time, so memory stays at the reports themselves.
     """
-    _check_format(format)
     ordered = sorted(reports, key=_ENTITY)
     path = Path(path)
     with open(path, "w", encoding="utf-8") as handle:
-        if format == "json":
-            handle.writelines(_json_chunks(ordered))
-        else:
-            _write_csv(ordered, handle)
+        _write(ordered, handle, format)
     return path
 
 

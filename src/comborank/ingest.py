@@ -262,13 +262,15 @@ def _data_offset(path: Path, header: bool) -> int:
 def _range_lines(handle: IO[bytes], start: int, end: int, owns_first: bool) -> Iterator[str]:
     """Decoded lines of ``[start, end)`` from ``handle``, read in ``_BLOCK_BYTES`` blocks.
 
-    Each block is cut after its last ``\\n`` and the rest carried into the
-    next one.  A ``\\n`` byte never falls inside a UTF-8 sequence or between
-    ``\\r`` and ``\\n``, so the pieces decode and split exactly as the whole
-    range would.
+    Each block is cut after its last ``\\n`` and the rest kept pending for
+    the next one.  A ``\\n`` byte never falls inside a UTF-8 sequence or
+    between ``\\r`` and ``\\n``, so the pieces decode and split exactly as the
+    whole range would.  Only the block just read is searched, and pending
+    pieces are joined once, so a line longer than a block (or a log ending
+    lines with a lone ``\\r``) costs time linear in its length.
     """
     left = end - start
-    carry = b""
+    pending: list[bytes] = []
     while left > 0:
         block = handle.read(min(_BLOCK_BYTES, left))
         if not block:
@@ -280,24 +282,24 @@ def _range_lines(handle: IO[bytes], start: int, end: int, owns_first: bool) -> I
                 continue
             block = block[cut + 1 :]
             owns_first = True
-        block = carry + block
         cut = block.rfind(b"\n") + 1
-        carry = block[cut:]
         if cut:
-            yield from _split_lines(block[:cut].decode("utf-8", errors="replace"))
-    if not carry:
+            pending.append(block[:cut])
+            yield from _split_lines(b"".join(pending).decode("utf-8", errors="replace"))
+            pending = []
+        pending.append(block[cut:])
+    if not any(pending):
         return
-    tail = [carry]
     while True:
         block = handle.read(_MIN_CHUNK_BYTES)
         if not block:
             break
         cut = block.find(b"\n")
         if cut >= 0:
-            tail.append(block[: cut + 1])
+            pending.append(block[: cut + 1])
             break
-        tail.append(block)
-    yield from _split_lines(b"".join(tail).decode("utf-8", errors="replace"))
+        pending.append(block)
+    yield from _split_lines(b"".join(pending).decode("utf-8", errors="replace"))
 
 
 def _parse_byte_range(

@@ -41,15 +41,14 @@ def top_k(entity: str, table: DistanceTable, k: int) -> EntityAnomalyReport:
     if stats is None:
         raise KeyError(f"unknown entity {entity!r}")
     candidates = table.by_entity.get(entity)
-    if not candidates:
-        return EntityAnomalyReport(
-            entity, stats.mrr, stats.expected_rank, stats.baseline_presence, ()
-        )
-    # Combination ascending, then stably distance descending.
-    ordered = sorted(candidates.values(), key=_COMBINATION)
-    ordered.sort(key=_DISTANCE, reverse=True)
+    items: tuple[AnomalyItem, ...] = ()
+    if candidates:
+        # Combination ascending, then stably distance descending.
+        ordered = sorted(candidates.values(), key=_COMBINATION)
+        ordered.sort(key=_DISTANCE, reverse=True)
+        items = tuple(ordered[:k])
     return EntityAnomalyReport(
-        entity, stats.mrr, stats.expected_rank, stats.baseline_presence, tuple(ordered[:k])
+        entity, stats.mrr, stats.expected_rank, stats.baseline_presence, items
     )
 
 

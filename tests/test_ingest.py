@@ -1,5 +1,6 @@
 import gzip
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -416,6 +417,32 @@ class TestLineRule:
                 _assert_same_index(index, whole)
                 baseline = generate_baseline(marginals, spec)
                 assert emit_report(recommend_all(index, baseline, spec)) == oracle, workers
+
+    def test_lone_cr_log_reads_in_linear_time(self, tmp_path, monkeypatch):
+        """A range with no ``\\n`` is one long pending line, joined once, not once per block."""
+        spec = AnalysisSpec(("c1", "c2"), "e", p=(1, 2), k=3)
+        mapping = FieldMapping(("c1", "c2", "e"))
+        used = (0, 1, 2)
+        path = tmp_path / "log.csv"
+        lines = "".join(f"c{i % 7},d{i % 5},e{i % 101}\r" for i in range(320_000))
+        path.write_bytes(("c1,c2,e\r" + lines).encode("utf-8"))
+        size = path.stat().st_size
+        start = ingest_module._data_offset(path, header=True)
+        began = time.perf_counter()
+        whole = ingest_module._parse_byte_range(str(path), start, size, start, mapping, used)
+        whole_s = time.perf_counter() - began
+        monkeypatch.setattr(ingest_module, "_BLOCK_BYTES", 64)
+        began = time.perf_counter()
+        blocked = ingest_module._parse_byte_range(str(path), start, size, start, mapping, used)
+        blocked_s = time.perf_counter() - began
+        assert blocked == whole
+        assert whole[1:] == (320_000, 0)
+        # Re-joining the pending bytes on each of the ~60k blocks would copy ~120 GB.
+        assert blocked_s < 4 * whole_s + 0.5, (blocked_s, whole_s)
+        _, single = ingest_paths([path], spec, mapping, header=True, workers=1)
+        for workers in (2, 3, 4):
+            _, index = ingest_paths([path], spec, mapping, header=True, workers=workers)
+            _assert_same_index(index, single)
 
 
 class TestResolveMapping:
