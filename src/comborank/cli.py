@@ -28,8 +28,7 @@ from .config import (
 )
 from .explain import explain, write_explanation, write_report
 from .ingest import ContingencyIndex, SchemaMismatch, ingest_paths, resolve_mapping
-from .rankstats import baseline_stats, compute_distances
-from .recommend import EntityAnomalyReport, top_k
+from .recommend import EntityAnomalyReport, recommend_all
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,11 +60,10 @@ class StageTimes:
     ingest_s: float = 0.0
     baseline_s: float = 0.0
     rank_s: float = 0.0
-    recommend_s: float = 0.0
 
     @property
     def total_s(self) -> float:
-        return self.ingest_s + self.baseline_s + self.rank_s + self.recommend_s
+        return self.ingest_s + self.baseline_s + self.rank_s
 
 
 @dataclass(frozen=True)
@@ -134,16 +132,9 @@ def discover(config: RunConfig) -> PipelineResult:
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Discover, then rank and report; raises InputError on bad input."""
     result = discover(config)
-    spec, index, baseline, times = result.spec, result.index, result.baseline, result.times
-
     started = time.perf_counter()
-    stats = baseline_stats(index, baseline)
-    table = compute_distances(stats, index, baseline, spec.min_support)
-    times.rank_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    result.reports = [top_k(entity, table, spec.k) for entity in sorted(stats)]
-    times.recommend_s = time.perf_counter() - started
+    result.reports = recommend_all(result.index, result.baseline, result.spec)
+    result.times.rank_s = time.perf_counter() - started
     return result
 
 
@@ -177,8 +168,7 @@ def _print_summary(result: PipelineResult, threads: int) -> None:
         f"in {times.ingest_s:.2f}s [{threads} worker(s)]"
     )
     print(f"baseline: {result.baseline.size} expected combinations in {times.baseline_s:.2f}s")
-    print(f"rank: scored distances in {times.rank_s:.2f}s")
-    print(f"recommend: {len(result.reports)} entity reports in {times.recommend_s:.2f}s")
+    print(f"rank: {len(result.reports)} entity reports in {times.rank_s:.2f}s")
     print(f"discovery time: {times.total_s:.2f}s ({rate:,.0f} entries/s)")
 
 
@@ -289,7 +279,7 @@ def run_bench(
     """Generate one log per size and time the pipeline per thread count.
 
     Logs are deleted after timing; bench.csv keeps the measurements.  The
-    reported time covers the four analysis stages, not artifact writing.
+    reported time covers the three analysis stages, not artifact writing.
     """
     from .synthgen import bench_config, generate_log
 
@@ -313,7 +303,7 @@ def run_bench(
 
 def bench_csv(results: Sequence[BenchResult]) -> str:
     lines = [
-        "entries,threads,ingest_s,baseline_s,rank_s,recommend_s,total_s,entries_per_s,speedup_vs_t1"
+        "entries,threads,ingest_s,baseline_s,rank_s,total_s,entries_per_s,speedup_vs_t1"
     ]
     base: dict[int, float] = {}
     for row in results:
@@ -325,7 +315,7 @@ def bench_csv(results: Sequence[BenchResult]) -> str:
         speedup = f"{reference / t.total_s:.2f}" if reference and t.total_s > 0 else ""
         lines.append(
             f"{row.entries},{row.threads},{t.ingest_s:.4f},{t.baseline_s:.4f},"
-            f"{t.rank_s:.4f},{t.recommend_s:.4f},{t.total_s:.4f},"
+            f"{t.rank_s:.4f},{t.total_s:.4f},"
             f"{row.throughput:.0f},{speedup}"
         )
     return "\n".join(lines) + "\n"

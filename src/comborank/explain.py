@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import re
+from _blake2 import blake2s  # hashlib's own blake2s, without loading OpenSSL
 from csv import writer as csv_writer
 from dataclasses import dataclass
 from html import escape
@@ -379,11 +380,8 @@ def parse_reports(text: str) -> list[EntityAnomalyReport]:
 # --- file layout ---------------------------------------------------------------
 
 def _slug(text: str) -> str:
-    # Only chart file names need a digest; analysis calls never load OpenSSL.
-    import hashlib
-
     safe = re.sub(r"[^A-Za-z0-9.-]", "-", text)[:32].strip("-") or "value"
-    digest = hashlib.blake2s(text.encode("utf-8"), digest_size=4).hexdigest()
+    digest = blake2s(text.encode("utf-8"), digest_size=4).hexdigest()
     return f"{safe}.{digest}"
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from os import cpu_count
 from pathlib import Path
+from sys import intern
 from typing import IO, Iterable, Iterator, Sequence
 
 from .config import AnalysisSpec, ConfigError, FieldMapping
@@ -85,14 +86,24 @@ class ContingencyIndex:
 
 
 def _add_cells(into: Cells, other: Cells) -> None:
-    """Add ``other``'s counts into ``into`` cell by cell, leaving ``other`` unshared."""
+    """Add ``other``'s counts into ``into`` cell by cell, leaving ``other`` unshared.
+
+    Names that ``into`` stores anew are interned, so a name is one string
+    object however many cells hold it, also when ``other`` was unpickled.
+    """
     for combo, cell in other.items():
         mine = into.get(combo)
         if mine is None:
-            into[combo] = dict(cell)
+            into[tuple([intern(value) for value in combo])] = {
+                intern(entity): n for entity, n in cell.items()
+            }
         else:
             for entity, n in cell.items():
-                mine[entity] = mine.get(entity, 0) + n
+                count = mine.get(entity)
+                if count is None:
+                    mine[intern(entity)] = n
+                else:
+                    mine[entity] = count + n
 
 
 def merge_indexes(a: ContingencyIndex, b: ContingencyIndex) -> ContingencyIndex:
@@ -130,7 +141,9 @@ def _count_lines(
 
     Lines are counted a batch at a time, and each distinct line of a batch is
     split and stripped once, its multiplicity added to its cell or to the
-    rejected count.
+    rejected count.  Names are interned when a cell or an entity is stored
+    anew, so the index holds one string object per distinct name, not one
+    per distinct line; a line that adds to a stored count pays nothing.
     """
     delimiter = mapping.delimiter
     column_count = mapping.column_count
@@ -149,9 +162,13 @@ def _count_lines(
             entity = fields[entity_index].strip() or missing
             cell = cells.get(combination)
             if cell is None:
-                cells[combination] = {entity: n}
+                cells[tuple([intern(value) for value in combination])] = {intern(entity): n}
             else:
-                cell[entity] = cell.get(entity, 0) + n
+                count = cell.get(entity)
+                if count is None:
+                    cell[intern(entity)] = n
+                else:
+                    cell[entity] = count + n
             total += n
     return total, rejected
 

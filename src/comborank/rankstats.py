@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import fsum
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .baseline import BaselineSet
 from .ingest import ContingencyIndex
@@ -48,6 +48,7 @@ class RankOrdering:
         return len(self.entries)
 
 
+_COMBINATION = itemgetter(0)
 _COUNT = itemgetter(1)
 
 
@@ -106,24 +107,36 @@ class EntityBaselineStats(NamedTuple):
     baseline_presence: int
 
 
-def baseline_stats(index: ContingencyIndex, baseline: BaselineSet) -> dict[str, EntityBaselineStats]:
-    """Baseline statistics for every entity observed anywhere in the index.
+def _baseline_ranks(index: ContingencyIndex, baseline: BaselineSet) -> dict[str, list[int]]:
+    """Each entity's ranks in the observed baseline cells, for entities present in one.
 
     Each observed baseline combination is ordered once and its ranks fanned
     out, so the cost is one sort per baseline cell instead of one per
-    (entity, cell) pair.
+    (entity, cell) pair.  Entities absent from every baseline cell get no
+    entry.
     """
     if not baseline.combinations:
         raise ValueError("baseline set is empty")
-    per_entity: dict[str, list[int]] = {entity: [] for entity in sorted(index.entities())}
+    per_entity: dict[str, list[int]] = {}
     for combo in baseline.sorted_combinations():
         cell = index.cells.get(combo)
         if not cell:
             continue
         for entity, _count, rank in _ranked(cell):
-            per_entity[entity].append(rank)
+            ranks = per_entity.get(entity)
+            if ranks is None:
+                per_entity[entity] = [rank]
+            else:
+                ranks.append(rank)
+    return per_entity
+
+
+def baseline_stats(index: ContingencyIndex, baseline: BaselineSet) -> dict[str, EntityBaselineStats]:
+    """Baseline statistics for every entity observed anywhere in the index."""
+    per_entity = _baseline_ranks(index, baseline)
     stats = {}
-    for entity, ranks in per_entity.items():
+    for entity in sorted(index.entities()):
+        ranks = per_entity.get(entity, ())
         mrr = mrr_from_ranks(ranks)
         expected = None if mrr is None else 1.0 / mrr
         stats[entity] = EntityBaselineStats(entity, mrr, expected, len(ranks))
@@ -152,6 +165,40 @@ class DistanceTable:
         return sum(len(per_combo) for per_combo in self.by_entity.values())
 
 
+def _scored_cohorts(
+    index: ContingencyIndex, baseline: BaselineSet, min_support: int
+) -> list[tuple[tuple[str, ...], dict[str, int]]]:
+    """The cohorts that get scored, as (combination, cell), combination ascending.
+
+    Baseline combinations are skipped, and so are combinations whose total
+    count falls below ``min_support``.
+    """
+    expected = baseline.combinations
+    return sorted(
+        (
+            (combo, cell)
+            for combo, cell in index.cells.items()
+            if combo not in expected and (min_support <= 1 or sum(cell.values()) >= min_support)
+        ),
+        key=_COMBINATION,
+    )
+
+
+def _scores(
+    cell: dict[str, int], mrrs: dict[str, float]
+) -> Iterator[tuple[str, float, float, int, int]]:
+    """(entity, distance, rr, rank, count) for each entity of a cohort that has an MRR.
+
+    The distance is how far the entity's reciprocal rank in the cohort sits
+    from its MRR.
+    """
+    for entity, count, rank in _ranked(cell):
+        mrr = mrrs.get(entity)
+        if mrr is not None:
+            rr = 1.0 / rank
+            yield entity, abs(rr - mrr), rr, rank, count
+
+
 def compute_distances(
     stats: dict[str, EntityBaselineStats],
     index: ContingencyIndex,
@@ -163,21 +210,12 @@ def compute_distances(
     Combinations whose total count falls below ``min_support`` are skipped,
     as are entities without an MRR (no baseline presence).
     """
-    expected = baseline.combinations
     mrrs = {entity: s.mrr for entity, s in stats.items() if s.mrr is not None}
     by_entity: dict[str, dict[tuple[str, ...], AnomalyItem]] = {}
-    for combo, cell in index.cells.items():
-        if combo in expected:
-            continue
-        if min_support > 1 and sum(cell.values()) < min_support:
-            continue
+    for combo, cell in _scored_cohorts(index, baseline, min_support):
         cohort = len(cell)
-        for entity, count, rank in _ranked(cell):
-            mrr = mrrs.get(entity)
-            if mrr is None:
-                continue
-            rr = 1.0 / rank
-            item = AnomalyItem(combo, abs(rr - mrr), rr, rank, cohort, count)
+        for entity, distance, rr, rank, count in _scores(cell, mrrs):
+            item = AnomalyItem(combo, distance, rr, rank, cohort, count)
             per_combo = by_entity.get(entity)
             if per_combo is None:
                 by_entity[entity] = {combo: item}

@@ -9,7 +9,7 @@ import pytest
 
 import comborank
 
-from comborank import emit_report, recommend_all
+from comborank import baseline_stats, compute_distances, emit_report, top_k
 from comborank import ingest as ingest_module
 from comborank.cli import (
     EXIT_INPUT,
@@ -25,7 +25,7 @@ from comborank.cli import (
 from comborank.config import RunSettings
 from comborank.synthgen import config_to_json, generate_log, synthetic_config
 
-from fixture_logs import RANK_PROFILE_COLUMNS, rank_profile_log
+from fixture_logs import ENTITY_A, RANK_PROFILE_COLUMNS, rank_profile_log
 
 
 @pytest.fixture(scope="module")
@@ -46,12 +46,19 @@ def analysis_conf(tmp_path):
 
 class TestRunPipeline:
     def test_matches_library_reports(self, sample_log, tmp_path):
-        settings = RunSettings(categories=("cat1", "cat2", "cat3", "cat4"), entity="entity", k=4)
-        config = RunConfig((sample_log,), tmp_path, settings, threads=1)
-        result = run_pipeline(config)
-        library = recommend_all(result.index, result.baseline, result.spec)
-        assert emit_report(result.reports) == emit_report(library)
-        assert result.times.total_s > 0
+        """The pipeline's bounded top-k pass reports what ``top_k`` of the full table does."""
+        categories = ("cat1", "cat2", "cat3", "cat4")
+        for min_support in (0, 2):
+            for k in range(1, 7):
+                settings = RunSettings(
+                    categories=categories, entity="entity", k=k, min_support=min_support
+                )
+                result = run_pipeline(RunConfig((sample_log,), tmp_path, settings, threads=1))
+                stats = baseline_stats(result.index, result.baseline)
+                table = compute_distances(stats, result.index, result.baseline, min_support)
+                library = [top_k(entity, table, k) for entity in sorted(stats)]
+                assert emit_report(result.reports) == emit_report(library), (k, min_support)
+                assert result.times.total_s > 0
 
     def test_written_reports_equal_emitted_text(self, sample_log, tmp_path):
         settings = RunSettings(categories=("cat1", "cat2", "cat3", "cat4"), entity="entity", k=4)
@@ -342,6 +349,26 @@ def test_import_loads_only_analysis_modules():
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_explain_loads_no_openssl(tmp_path):
+    """Chart file names come from ``_blake2``, so an ``explain`` call never loads ``_hashlib``."""
+    lines, _mapping, _spec = rank_profile_log()
+    log = tmp_path / "fixture.csv"
+    log.write_text(",".join(RANK_PROFILE_COLUMNS) + "\n" + "\n".join(lines) + "\n")
+    out_dir = tmp_path / "out"
+    argv = [
+        "explain", ENTITY_A, "--input", str(log), "--out", str(out_dir),
+        "--categories", "Browser,Country,ContentType", "--entity", "Customer",
+    ]
+    code = (
+        "import sys; from comborank.cli import main; "
+        f"rc = main({argv!r}); print(rc, '_hashlib' in sys.modules)"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert list((out_dir / "explanations").glob("*/anomaly__*.svg"))
 
 
 def test_public_api_is_pinned():

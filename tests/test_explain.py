@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -19,7 +21,7 @@ from comborank import (
     render_chart,
     write_explanation,
 )
-from comborank.explain import combination_slug, write_report
+from comborank.explain import _slug, combination_slug, write_report
 from comborank.ingest import ingest_lines
 
 from fixture_logs import ENTITY_A, rank_profile_log
@@ -252,3 +254,14 @@ class TestWriteExplanation:
     def test_slugs_disambiguate_similar_values(self):
         assert combination_slug(("a/b", "c")) != combination_slug(("a_b", "c"))
         assert combination_slug(("x", "y")) == combination_slug(("x", "y"))
+
+    @given(st.text(), st.lists(st.text(), min_size=1, max_size=4))
+    def test_slugs_use_hashlibs_blake2s(self, text, combination):
+        """Chart file names are what ``hashlib.blake2s`` names them, without OpenSSL."""
+
+        def reference(name):
+            safe = re.sub(r"[^A-Za-z0-9.-]", "-", name)[:32].strip("-") or "value"
+            return f"{safe}.{hashlib.blake2s(name.encode('utf-8'), digest_size=4).hexdigest()}"
+
+        assert _slug(text) == reference(text)
+        assert combination_slug(tuple(combination)) == reference("\x1f".join(combination))

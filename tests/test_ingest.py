@@ -166,6 +166,58 @@ class TestMergeProperties:
         _assert_same_index(merged, whole)
 
 
+def _assert_names_shared(index):
+    """One string object per distinct entity and per distinct category value."""
+    assert len({id(e) for cell in index.cells.values() for e in cell}) == len(index.entities())
+    values = [value for combination in index.cells for value in combination]
+    assert len({id(value) for value in values}) == len(set(values))
+
+
+class TestSharedNames:
+    """The index stores each name once, however many lines and cells repeat it."""
+
+    # Two halves of 385 distinct lines each.  The second brings new cells and
+    # new customers into old cells, so a second byte range stores names anew;
+    # the padding makes every stripped field a new string object.
+    ROWS = [
+        f" br{i % 7 + half},co{i % 5} , cust{i % 11 + 5 * half} "
+        for half in (0, 1)
+        for i in range(1500)
+    ]
+
+    def test_ingest_lines(self):
+        _, index = ingest_lines(self.ROWS, SPEC, MAPPING)
+        assert (len(index.cells), len(index.entities())) == (40, 16)
+        _assert_names_shared(index)
+
+    def test_ingest_paths(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 256)
+        path = tmp_path / "log.csv"
+        path.write_text("Browser,Country,Customer\n" + "\n".join(self.ROWS) + "\n")
+        for workers in (1, 2):
+            _, index = ingest_paths([path], SPEC, MAPPING, header=True, workers=workers)
+            assert index.total_records == 3000
+            _assert_names_shared(index)
+
+    def test_merge_indexes(self):
+        def fresh(name):
+            # A new string object on every call, never an interned one.
+            return "".join(list(name))
+
+        def index(rows):
+            cells = {}
+            for browser, country, customer in rows:
+                cell = cells.setdefault((fresh(browser), fresh(country)), {})
+                cell[fresh(customer)] = 1
+            return ContingencyIndex(SPEC.categories, SPEC.entity_field, cells, len(rows), 0)
+
+        rows = [(f"br{i % 3}", f"co{i % 2}", f"cust{i % 5}") for i in range(30)]
+        a, b = index(rows[:15]), index(rows[15:])
+        merged = merge_indexes(a, b)
+        assert len(merged.entities()) == 5
+        _assert_names_shared(merged)
+
+
 class TestIngestFile:
     def _write(self, tmp_path, name, text):
         path = tmp_path / name

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from comborank import (
     AnalysisSpec,
@@ -6,6 +8,7 @@ from comborank import (
     ContingencyIndex,
     baseline_stats,
     compute_distances,
+    emit_report,
     recommend_all,
     top_k,
 )
@@ -118,3 +121,29 @@ class TestRecommendAll:
         reports = recommend_all(index, baseline, spec)
         e1 = next(r for r in reports if r.entity == "e1")
         assert [item.combination for item in e1.items] == [("b", "z")]
+
+
+_combo = st.tuples(st.sampled_from("abc"), st.sampled_from("xyz"))
+_cohort = st.dictionaries(st.sampled_from(["e1", "e2", "e3", "e4"]), st.integers(1, 3), min_size=1)
+
+
+class TestBoundedPass:
+    @given(
+        st.dictionaries(_combo, _cohort, min_size=1),
+        st.lists(_combo, min_size=1, max_size=4),
+        st.integers(1, 4),
+        st.integers(0, 3),
+    )
+    def test_equals_top_k_of_the_full_table(self, cells, baseline_combos, k, min_support):
+        """``recommend_all``'s per-entity heaps report what ``top_k`` of the full table does.
+
+        Counts of 1 to 3 make ranks, and so distances, tie across
+        combinations, which is where a heap's tie-break and its replace test
+        could differ from ``top_k``'s order.
+        """
+        index, baseline, table = _table(cells, baseline_combos, min_support)
+        spec = AnalysisSpec(
+            categories=("C1", "C2"), entity_field="E", p=1, k=k, min_support=min_support
+        )
+        expected = [top_k(entity, table, k) for entity in sorted(table.entity_stats)]
+        assert emit_report(recommend_all(index, baseline, spec)) == emit_report(expected)
