@@ -366,7 +366,7 @@ def _positive_int(text: str) -> int:
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(float(part)) for part in text.split(","))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 

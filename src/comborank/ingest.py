@@ -5,19 +5,24 @@ and merging the partials gives exactly the same counts as one pass over the
 whole stream.  That makes multi-process ingestion bit-identical to
 single-process ingestion, which the rest of the pipeline relies on.
 
+Every input, plain or gzip, whole or split into byte ranges, header or data,
+is read by one byte-level reader with one line rule: blocks of
+``_BLOCK_BYTES`` are cut after their last ``\\n``, decoded as UTF-8 with
+undecodable bytes replaced, and split at ``\\n``, ``\\r\\n`` and a lone
+``\\r`` only.  One UTF-8 byte order mark at the start of a file is dropped.
+
 ``ingest_paths`` counts raw lines in batches of ``_BATCH_LINES`` and splits
 and strips each distinct line of a batch once, adding its multiplicity
 straight into the index cells; a line's treatment depends only on its text,
 so this is exact.  ``ingest_lines`` runs the same counting over lines already
-in memory.  In a single context memory is bounded by the index plus one
-batch.  Marginals are derived from the cell totals.  Plain files can be fanned
-out over byte ranges with ``workers`` processes, whose cells the parent adds
-up.  Gzip inputs are always read in a single context because the stream does
-not support random access.
+in memory.  In a single context memory is bounded by the index plus one block
+and one batch.  Marginals are derived from the cell totals.  Plain files can
+be fanned out over byte ranges with ``workers`` processes, whose cells the
+parent adds up.  Gzip inputs are always read in a single context because the
+stream does not support random access.
 
 Malformed lines (wrong column count after splitting) are counted and skipped,
-never fatal.  Bytes that do not decode as UTF-8 are replaced, not rejected.
-One UTF-8 byte order mark at the start of a file is dropped.
+never fatal.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ import gzip
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
+from math import inf
 from os import cpu_count
 from pathlib import Path
 from sys import intern
@@ -35,9 +41,8 @@ from typing import IO, Iterable, Iterator, Sequence
 from .config import AnalysisSpec, ConfigError, FieldMapping
 
 _MIN_CHUNK_BYTES = 1 << 16
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 16
 _BATCH_LINES = 1 << 16
-_BOM = b"\xef\xbb\xbf"
 
 Cells = dict[tuple[str, ...], dict[str, int]]
 
@@ -192,14 +197,15 @@ def _aggregates(
 
 
 def _split_lines(text: str) -> list[str]:
-    """Split decoded text into lines exactly as text-mode file iteration does.
+    """Split decoded text into lines: only ``\\n``, ``\\r\\n`` and a lone ``\\r`` end one.
 
-    Only ``\\n``, ``\\r\\n`` and a lone ``\\r`` end a line.  ``str.splitlines``
-    would also break at ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``,
-    ``\\u2028`` and ``\\u2029``, so a field holding one of those would count
-    differently in a byte range than in a single-worker pass.
+    ``str.splitlines`` would also break at ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``,
+    ``\\x85``, ``\\u2028`` and ``\\u2029``, so a field holding one of those would
+    count as two lines.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
@@ -209,16 +215,75 @@ def _is_gzip(path: Path) -> bool:
     return path.suffix == ".gz"
 
 
-def open_log_text(path: str | Path) -> IO[str]:
-    """Open a plain or .gz log for line iteration.
+def _open_log(path: Path) -> IO[bytes]:
+    return gzip.open(path) if _is_gzip(path) else open(path, "rb")
 
-    Undecodable bytes are replaced, and one leading UTF-8 byte order mark is
-    dropped (``utf-8-sig``), so it never becomes part of a name or value.
+
+def _range_texts(handle: IO[bytes], start: int, end: float) -> Iterator[str]:
+    """Decoded text of the lines whose first byte lies in ``[start, end)`` of ``handle``.
+
+    A line straddling ``end`` belongs to this range; a line straddling
+    ``start`` belongs to the previous one, so the ranges of a file partition
+    its lines exactly once.  ``handle`` is read in ``_BLOCK_BYTES`` blocks,
+    each cut after its last ``\\n`` and the rest kept pending for the next
+    one.  A ``\\n`` byte never falls inside a UTF-8 sequence or between ``\\r``
+    and ``\\n``, so the pieces decode and split exactly as the whole range
+    would.  Only the block just read is searched, and pending pieces are
+    joined once, so a line longer than a block (or a log ending lines with a
+    lone ``\\r``) costs time linear in its length.
     """
-    path = Path(path)
-    if _is_gzip(path):
-        return gzip.open(path, "rt", encoding="utf-8-sig", errors="replace")
-    return open(path, "r", encoding="utf-8-sig", errors="replace")
+    owns_first = True
+    if start:
+        handle.seek(start - 1)
+        owns_first = handle.read(1) == b"\n"
+    left = end - start
+    pending: list[bytes] = []
+    while left > 0:
+        block = handle.read(min(_BLOCK_BYTES, left))
+        if not block:
+            break
+        left -= len(block)
+        if not owns_first:
+            cut = block.find(b"\n")
+            if cut < 0:
+                continue
+            block = block[cut + 1 :]
+            owns_first = True
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            pending.append(block[:cut])
+            yield b"".join(pending).decode("utf-8", errors="replace")
+            pending = []
+        pending.append(block[cut:])
+    if not any(pending):
+        return
+    while True:
+        block = handle.read(_MIN_CHUNK_BYTES)
+        if not block:
+            break
+        cut = block.find(b"\n")
+        if cut >= 0:
+            pending.append(block[: cut + 1])
+            break
+        pending.append(block)
+    yield b"".join(pending).decode("utf-8", errors="replace")
+
+
+def _read_lines(handle: IO[bytes], start: int, end: float, header: bool) -> Iterator[str]:
+    """The one line reader: the lines of ``[start, end)`` of a byte handle.
+
+    Every input goes through it, plain or gzip, whole (``0`` to ``inf``) or
+    as a byte range, header or data.  A range starting at offset 0 drops one
+    leading UTF-8 byte order mark from its first line, so it never becomes
+    part of a name or value, and with ``header`` skips that line.
+    """
+    texts = _range_texts(handle, start, end)
+    head: list[str] = []
+    if start == 0:
+        head = _split_lines(next(texts, "").removeprefix("\ufeff"))
+        if header:
+            del head[:1]
+    return chain(head, chain.from_iterable(map(_split_lines, texts)))
 
 
 def _with_path(exc: Exception, path: str | Path) -> Exception:
@@ -229,13 +294,13 @@ def _with_path(exc: Exception, path: str | Path) -> Exception:
 def read_header(path: str | Path, delimiter: str) -> tuple[str, ...]:
     """Column names from the first line of a log file."""
     try:
-        with open_log_text(path) as handle:
-            first = handle.readline()
+        with _open_log(Path(path)) as handle:
+            first = next(_read_lines(handle, 0, inf, header=False), None)
     except _DAMAGED_GZIP as exc:
         raise _with_path(exc, path) from exc
-    if not first:
+    if first is None:
         raise ConfigError(f"{path}: empty file, no header to read")
-    names = tuple(name.strip() for name in first.rstrip("\r\n").split(delimiter))
+    names = tuple(name.strip() for name in first.split(delimiter))
     if any(not n for n in names):
         raise ConfigError(f"{path}: header has empty column names: {first!r}")
     return names
@@ -259,104 +324,32 @@ def resolve_mapping(
     return FieldMapping(names, delimiter=delimiter, missing_token=missing_token)
 
 
-def _data_offset(path: Path, header: bool) -> int:
-    """Byte offset of the first data line in a plain-text log.
-
-    A leading UTF-8 byte order mark is skipped, as ``open_log_text`` does.
-    The header ends at its first ``\\n``, ``\\r\\n`` or lone ``\\r``, as in
-    text-mode reading, so a lone ``\\r`` does not pull the next line into it.
-    """
-    with open(path, "rb") as handle:
-        if not header:
-            return len(_BOM) if handle.read(len(_BOM)) == _BOM else 0
-        first = handle.readline()
-    cr = first.find(b"\r")
-    if cr >= 0 and first[cr + 1 : cr + 2] != b"\n":
-        return cr + 1
-    return len(first)
-
-
-def _range_lines(handle: IO[bytes], start: int, end: int, owns_first: bool) -> Iterator[str]:
-    """Decoded lines of ``[start, end)`` from ``handle``, read in ``_BLOCK_BYTES`` blocks.
-
-    Each block is cut after its last ``\\n`` and the rest kept pending for
-    the next one.  A ``\\n`` byte never falls inside a UTF-8 sequence or
-    between ``\\r`` and ``\\n``, so the pieces decode and split exactly as the
-    whole range would.  Only the block just read is searched, and pending
-    pieces are joined once, so a line longer than a block (or a log ending
-    lines with a lone ``\\r``) costs time linear in its length.
-    """
-    left = end - start
-    pending: list[bytes] = []
-    while left > 0:
-        block = handle.read(min(_BLOCK_BYTES, left))
-        if not block:
-            break
-        left -= len(block)
-        if not owns_first:
-            cut = block.find(b"\n")
-            if cut < 0:
-                continue
-            block = block[cut + 1 :]
-            owns_first = True
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            pending.append(block[:cut])
-            yield from _split_lines(b"".join(pending).decode("utf-8", errors="replace"))
-            pending = []
-        pending.append(block[cut:])
-    if not any(pending):
-        return
-    while True:
-        block = handle.read(_MIN_CHUNK_BYTES)
-        if not block:
-            break
-        cut = block.find(b"\n")
-        if cut >= 0:
-            pending.append(block[: cut + 1])
-            break
-        pending.append(block)
-    yield from _split_lines(b"".join(pending).decode("utf-8", errors="replace"))
-
-
-def _parse_byte_range(
-    path_str: str,
+def _count_range(
+    path: Path,
     start: int,
-    end: int,
-    data_start: int,
+    end: float,
+    header: bool,
     mapping: FieldMapping,
     used_indexes: tuple[int, ...],
+    cells: Cells,
 ) -> tuple[Cells, int, int]:
-    """Count every line whose first byte lies in [start, end) into fresh cells.
+    """Count the lines of ``[start, end)`` of ``path`` into ``cells``.
 
-    A line straddling ``end`` belongs to this range; a line straddling
-    ``start`` belongs to the previous one.  Together the ranges of a file
-    partition its data lines exactly once.  Memory is bounded by the cells
-    plus one block and one counting batch, whatever the range's size.
+    Returns ``cells`` with (accepted, rejected), so that a pool worker given
+    fresh cells sends its counts back.  Memory is bounded by the cells plus
+    one block and one counting batch, whatever the range's size.
     """
-    cells: Cells = {}
-    if start >= end:
-        return cells, 0, 0
-    with open(path_str, "rb") as handle:
-        if start == data_start:
-            handle.seek(start)
-            owns_first = True
-        else:
-            handle.seek(start - 1)
-            owns_first = handle.read(1) == b"\n"
-        lines = _range_lines(handle, start, end, owns_first)
+    with _open_log(path) as handle:
+        lines = _read_lines(handle, start, end, header)
         total, rejected = _count_lines(lines, mapping, used_indexes, cells)
     return cells, total, rejected
 
 
-def _chunk_ranges(size: int, data_start: int, workers: int) -> list[tuple[int, int]]:
-    span = size - data_start
-    if span <= 0:
-        return []
-    chunks = max(1, min(workers, span // _MIN_CHUNK_BYTES + 1))
-    step = span // chunks
-    bounds = [data_start + i * step for i in range(chunks)] + [size]
-    return [(bounds[i], bounds[i + 1]) for i in range(chunks)]
+def _chunk_ranges(size: int, workers: int) -> list[tuple[int, int]]:
+    chunks = min(workers, size // _MIN_CHUNK_BYTES + 1)
+    step = size // chunks
+    bounds = [i * step for i in range(chunks)] + [size]
+    return list(zip(bounds, bounds[1:]))
 
 
 def resolve_workers(workers: int) -> int:
@@ -383,19 +376,15 @@ def _count_file(
                 f"{path}: header {observed} does not match mapping {mapping.column_names}"
             )
 
-    data_start = 0
     ranges: list[tuple[int, int]] = []
     if not _is_gzip(path) and workers > 1:
-        data_start = _data_offset(path, header)
-        ranges = _chunk_ranges(path.stat().st_size, data_start, workers)
+        ranges = _chunk_ranges(path.stat().st_size, workers)
     if len(ranges) <= 1:
         try:
-            with open_log_text(path) as handle:
-                if header:
-                    handle.readline()
-                return _count_lines(handle, mapping, used_indexes, cells)
+            _, total, rejected = _count_range(path, 0, inf, header, mapping, used_indexes, cells)
         except _DAMAGED_GZIP as exc:
             raise _with_path(exc, path) from exc
+        return total, rejected
     # Imported here so single-worker runs never load multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
@@ -403,7 +392,7 @@ def _count_file(
     rejected = 0
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         futures = [
-            pool.submit(_parse_byte_range, str(path), lo, hi, data_start, mapping, used_indexes)
+            pool.submit(_count_range, path, lo, hi, header, mapping, used_indexes, {})
             for lo, hi in ranges
         ]
         for future in futures:

@@ -220,8 +220,13 @@ class TestExitCodes:
     def test_unknown_flag(self):
         assert main(["recommend", "--zap"]) == EXIT_USAGE
 
-    def test_bad_flag_value(self):
-        assert main(["recommend", "--threads", "minus"]) == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "argv",
+        [["recommend", "--threads", "minus"], ["bench", "--sizes", "inf"]],
+        ids=["threads-minus", "sizes-inf"],
+    )
+    def test_bad_flag_value(self, argv):
+        assert main(argv) == EXIT_USAGE
 
     def test_missing_input_flag(self, analysis_conf):
         assert main(["recommend", "--config", str(analysis_conf)]) == EXIT_USAGE

@@ -447,28 +447,39 @@ class TestLineRule:
     @given(
         rows=_repeating(st.tuples(st.one_of(_record, _malformed), _tail, _ending), 40),
         header=st.booleans(),
+        mark=st.booleans(),
         block=st.integers(1, 7),
     )
-    def test_byte_ranges_read_in_small_blocks(self, rows, header, block):
-        """Blocks that cut lines, ``\\r\\n`` pairs and UTF-8 sequences change no count."""
+    def test_byte_ranges_read_in_small_blocks(self, rows, header, mark, block):
+        """Blocks that cut a BOM, lines, ``\\r\\n`` pairs or UTF-8 sequences change no count."""
         columns = ("c1", "c2", "e")
         spec = AnalysisSpec(("c1", "c2"), "e", p=(1, 2), k=3)
         mapping = FieldMapping(columns)
         body = b"".join(line.encode("utf-8") + tail + ending.encode() for line, tail, ending in rows)
+        data = (
+            (b"\xef\xbb\xbf" if mark else b"")
+            + (b"c1,c2,e\n" if header else b"")
+            + b"a,a,a\n"
+            + body
+        )
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 8)
             patch.setattr(ingest_module, "_BLOCK_BYTES", block)
             path = Path(tmp) / "log.csv"
-            path.write_bytes((b"c1,c2,e\n" if header else b"") + b"a,a,a\n" + body)
+            path.write_bytes(data)
+            packed = Path(tmp) / "log.csv.gz"
+            packed.write_bytes(gzip.compress(data))
             oracle = emit_report(oracle_recommend(path, spec, header=header, columns=columns))
             _, whole = ingest_paths([path], spec, mapping, header=header, workers=1)
-            for workers in (2, 3, 4):
+            for source, workers in ((path, 1), (path, 2), (path, 3), (path, 4), (packed, 1)):
                 marginals, index = ingest_paths(
-                    [path], spec, mapping, header=header, workers=workers
+                    [source], spec, mapping, header=header, workers=workers
                 )
                 _assert_same_index(index, whole)
                 baseline = generate_baseline(marginals, spec)
-                assert emit_report(recommend_all(index, baseline, spec)) == oracle, workers
+                report = emit_report(recommend_all(index, baseline, spec))
+                assert report == oracle, (source.name, workers)
+        assert "\ufeff" not in oracle
 
     def test_lone_cr_log_reads_in_linear_time(self, tmp_path, monkeypatch):
         """A range with no ``\\n`` is one long pending line, joined once, not once per block."""
@@ -479,13 +490,12 @@ class TestLineRule:
         lines = "".join(f"c{i % 7},d{i % 5},e{i % 101}\r" for i in range(320_000))
         path.write_bytes(("c1,c2,e\r" + lines).encode("utf-8"))
         size = path.stat().st_size
-        start = ingest_module._data_offset(path, header=True)
         began = time.perf_counter()
-        whole = ingest_module._parse_byte_range(str(path), start, size, start, mapping, used)
+        whole = ingest_module._count_range(path, 0, size, True, mapping, used, {})
         whole_s = time.perf_counter() - began
         monkeypatch.setattr(ingest_module, "_BLOCK_BYTES", 64)
         began = time.perf_counter()
-        blocked = ingest_module._parse_byte_range(str(path), start, size, start, mapping, used)
+        blocked = ingest_module._count_range(path, 0, size, True, mapping, used, {})
         blocked_s = time.perf_counter() - began
         assert blocked == whole
         assert whole[1:] == (320_000, 0)
