@@ -14,6 +14,7 @@ import sys
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -363,11 +364,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _int_list(text: str, least: int) -> tuple[int, ...]:
+    """Comma-separated integers, each at least ``least``."""
     try:
-        return tuple(int(float(part)) for part in text.split(","))
-    except (ValueError, OverflowError):
+        values = tuple(int(part) for part in text.split(","))
+    except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if min(values) < least:
+        raise argparse.ArgumentTypeError(f"expected integers >= {least}, got {text!r}")
+    return values
 
 
 def _analysis_flags(parser: argparse.ArgumentParser) -> None:
@@ -418,9 +423,14 @@ def build_parser() -> _Parser:
     synth.set_defaults(handler=cmd_synth)
 
     bench = commands.add_parser("bench", help="time the pipeline across sizes and workers")
-    bench.add_argument("--sizes", type=_int_list, default=(1_000_000,), help="log sizes")
     bench.add_argument(
-        "--threads", type=_int_list, default=(1, 2, 4), help="worker counts to compare"
+        "--sizes", type=partial(_int_list, least=1), default=(1_000_000,), help="log sizes"
+    )
+    bench.add_argument(
+        "--threads",
+        type=partial(_int_list, least=0),
+        default=(1, 2, 4),
+        help="worker counts to compare (0 = one per CPU)",
     )
     bench.add_argument("--out", default="comborank_out", help="output directory")
     bench.set_defaults(handler=cmd_bench)

@@ -23,7 +23,7 @@ from html import escape
 from json.encoder import encode_basestring as _json_string
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .baseline import BaselineSet
 from .ingest import ContingencyIndex
@@ -250,13 +250,13 @@ def _item_json(item: AnomalyItem) -> str:
     )
 
 
-def _report_json(report: EntityAnomalyReport, name: str) -> str:
-    """One entity's entry; ``name`` is its already-encoded entity string."""
+def _report_json(report: EntityAnomalyReport) -> str:
+    """One entity's entry in the ``entities`` array."""
     items = _json_array([_item_json(item) for item in report.items], " " * 6)
     return (
         "{\n"
         f'      "baseline_presence": {report.baseline_presence!r},\n'
-        f'      "entity": {name},\n'
+        f'      "entity": {_json_string(report.entity)},\n'
         f'      "expected_rank": {_json_number(report.expected_rank)},\n'
         f'      "items": {items},\n'
         f'      "mrr": {_json_number(report.mrr)}\n'
@@ -264,25 +264,23 @@ def _report_json(report: EntityAnomalyReport, name: str) -> str:
     )
 
 
+def _top_level_array(key: str, encoded: Iterable[str]) -> Iterator[str]:
+    """The document's ``key`` array and its trailing comma, one piece per element."""
+    opening = f'  "{key}": [\n    '
+    separator = opening
+    for value in encoded:
+        yield separator + value
+        separator = ",\n    "
+    yield f'  "{key}": [],\n' if separator is opening else "\n  ],\n"
+
+
 def _json_chunks(ordered: Sequence[EntityAnomalyReport]) -> Iterator[str]:
-    """The JSON document in pieces: opening, one per entity, then the rest."""
-    absent: list[str] = []
-    if ordered:
-        separator = '{\n  "entities": [\n    '
-        for report in ordered:
-            name = _json_string(report.entity)
-            if report.mrr is None:
-                absent.append(name)
-            yield separator + _report_json(report, name)
-            separator = ",\n    "
-        yield "\n  ],\n"
-    else:
-        yield '{\n  "entities": [],\n'
-    yield (
-        f'  "no_baseline_presence": {_json_array(absent, "  ")},\n'
-        f'  "schema_version": {SCHEMA_VERSION}\n'
-        "}\n"
-    )
+    """The JSON document in pieces: one per entity, then one per entity with no baseline."""
+    yield "{\n"
+    yield from _top_level_array("entities", map(_report_json, ordered))
+    absent = (_json_string(report.entity) for report in ordered if report.mrr is None)
+    yield from _top_level_array("no_baseline_presence", absent)
+    yield f'  "schema_version": {SCHEMA_VERSION}\n}}\n'
 
 
 def _write_csv(ordered: Sequence[EntityAnomalyReport], handle: IO[str]) -> None:

@@ -11,15 +11,15 @@ is read by one byte-level reader with one line rule: blocks of
 undecodable bytes replaced, and split at ``\\n``, ``\\r\\n`` and a lone
 ``\\r`` only.  One UTF-8 byte order mark at the start of a file is dropped.
 
-``ingest_paths`` counts raw lines in batches of ``_BATCH_LINES`` and splits
-and strips each distinct line of a batch once, adding its multiplicity
-straight into the index cells; a line's treatment depends only on its text,
-so this is exact.  ``ingest_lines`` runs the same counting over lines already
-in memory.  In a single context memory is bounded by the index plus one block
-and one batch.  Marginals are derived from the cell totals.  Plain files can
-be fanned out over byte ranges with ``workers`` processes, whose cells the
-parent adds up.  Gzip inputs are always read in a single context because the
-stream does not support random access.
+``ingest_paths`` splits each line once and counts it straight into its
+index cell, looked up by the raw fields first and stripped only when that
+misses, so nothing but the index outlives a line.  ``ingest_lines`` runs the
+same counting over lines already in memory.  In a single context memory is
+bounded by the index plus the lines of one block.  Marginals are derived
+from the cell totals.  Plain files can be fanned out over byte ranges with
+``workers`` processes, whose cells the parent adds up.  Gzip inputs are
+always read in a single context because the stream does not support random
+access.
 
 Malformed lines (wrong column count after splitting) are counted and skipped,
 never fatal.
@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import gzip
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from math import inf
+from operator import itemgetter
 from os import cpu_count
 from pathlib import Path
 from sys import intern
@@ -42,7 +42,6 @@ from .config import AnalysisSpec, ConfigError, FieldMapping
 
 _MIN_CHUNK_BYTES = 1 << 16
 _BLOCK_BYTES = 1 << 16
-_BATCH_LINES = 1 << 16
 
 Cells = dict[tuple[str, ...], dict[str, int]]
 
@@ -144,38 +143,47 @@ def _count_lines(
 ) -> tuple[int, int]:
     """Hot loop: add raw lines into ``cells``; returns (accepted, rejected).
 
-    Lines are counted a batch at a time, and each distinct line of a batch is
-    split and stripped once, its multiplicity added to its cell or to the
-    rejected count.  Names are interned when a cell or an entity is stored
-    anew, so the index holds one string object per distinct name, not one
-    per distinct line; a line that adds to a stored count pays nothing.
+    Each line is split once and counted straight into its cell.  The cell is
+    looked up by the raw category fields and the entity by its raw field;
+    only on a miss are they stripped, given the missing token and looked up
+    again.  A raw hit is exact because every stored name is already stripped
+    and non-empty (``FieldMapping`` forbids a padded missing token), so it is
+    its own normal form.  Names are interned when a cell or an entity is
+    stored anew, so the index holds one string object per distinct name.
     """
     delimiter = mapping.delimiter
     column_count = mapping.column_count
     missing = mapping.missing_token
     *category_indexes, entity_index = used_indexes
-    lines = iter(lines)
-    total = 0
+    project = itemgetter(*category_indexes)
+    if len(category_indexes) == 1:
+        # One index makes itemgetter return the field itself, not a 1-tuple.
+        (only,) = category_indexes
+        project = lambda fields: (fields[only],)
+    seen = 0
     rejected = 0
-    while batch := Counter(islice(lines, _BATCH_LINES)):
-        for line, n in batch.items():
-            fields = line.split(delimiter)
-            if len(fields) != column_count:
-                rejected += n
-                continue
-            combination = tuple([fields[i].strip() or missing for i in category_indexes])
-            entity = fields[entity_index].strip() or missing
+    for seen, line in enumerate(lines, 1):
+        fields = line.split(delimiter)
+        if len(fields) != column_count:
+            rejected += 1
+            continue
+        combination = project(fields)
+        cell = cells.get(combination)
+        if cell is None:
+            combination = tuple([value.strip() or missing for value in combination])
             cell = cells.get(combination)
             if cell is None:
-                cells[tuple([intern(value) for value in combination])] = {intern(entity): n}
-            else:
-                count = cell.get(entity)
-                if count is None:
-                    cell[intern(entity)] = n
-                else:
-                    cell[entity] = count + n
-            total += n
-    return total, rejected
+                cell = cells[tuple([intern(value) for value in combination])] = {}
+        entity = fields[entity_index]
+        count = cell.get(entity)
+        if count is None:
+            entity = entity.strip() or missing
+            count = cell.get(entity)
+            if count is None:
+                cell[intern(entity)] = 1
+                continue
+        cell[entity] = count + 1
+    return seen - rejected, rejected
 
 
 def _aggregates(
@@ -337,7 +345,7 @@ def _count_range(
 
     Returns ``cells`` with (accepted, rejected), so that a pool worker given
     fresh cells sends its counts back.  Memory is bounded by the cells plus
-    one block and one counting batch, whatever the range's size.
+    the lines of one block, whatever the range's size.
     """
     with _open_log(path) as handle:
         lines = _read_lines(handle, start, end, header)

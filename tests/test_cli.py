@@ -222,11 +222,31 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["recommend", "--threads", "minus"], ["bench", "--sizes", "inf"]],
-        ids=["threads-minus", "sizes-inf"],
+        [
+            ["recommend", "--threads", "minus"],
+            ["bench", "--sizes", "inf"],
+            ["bench", "--sizes", "1.9"],
+            ["bench", "--sizes", "-5"],
+            ["bench", "--sizes", "0"],
+            ["bench", "--sizes", "2000,0"],
+            ["bench", "--threads", "0.5"],
+            ["bench", "--threads", "1,-1"],
+        ],
+        ids=[
+            "threads-minus",
+            "sizes-inf",
+            "sizes-fraction",
+            "sizes-negative",
+            "sizes-zero",
+            "sizes-one-zero",
+            "threads-fraction",
+            "threads-one-negative",
+        ],
     )
-    def test_bad_flag_value(self, argv):
-        assert main(argv) == EXIT_USAGE
+    def test_bad_flag_value(self, argv, tmp_path):
+        # A bad value must stop the run before any log is generated.
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert not any(tmp_path.iterdir())
 
     def test_missing_input_flag(self, analysis_conf):
         assert main(["recommend", "--config", str(analysis_conf)]) == EXIT_USAGE

@@ -209,6 +209,10 @@ class TestReportDocuments:
     @example([])
     @example([EntityAnomalyReport("ghost", None, None, 0, ())])
     @example([EntityAnomalyReport("odd", None, None, 1, ())])
+    @example([
+        *(EntityAnomalyReport(f"ghost{i}", None, None, 0, ()) for i in range(3)),
+        EntityAnomalyReport("seen", 0.5, 2.0, 1, ()),
+    ])
     def test_json_matches_standard_encoder(self, reports):
         text = emit_report(reports, "json")
         assert text == _reference_json(reports)

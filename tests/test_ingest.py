@@ -1,6 +1,7 @@
 import gzip
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,12 @@ class TestParseRecord:
     def test_missing_token_for_empty_fields(self):
         _, index = ingest_lines(["F,,x1", "F,  ,x1"], SPEC, MAPPING)
         assert index.cells == {("F", "Unknown"): {"x1": 2}}
+
+    def test_every_spelling_of_the_missing_token_meets(self):
+        mapping = FieldMapping(MAPPING.column_names, missing_token="NA")
+        lines = ["x, NA,e1", "x,NA,e1", "x,,e1", "x, ,e1", "x,NA , e1 "]
+        _, index = ingest_lines(lines, SPEC, mapping)
+        assert index.cells == {("x", "NA"): {"e1": 5}}
 
     def test_column_mismatch_rejected(self):
         _, index = ingest_lines(["F,US", "F,US,x1,extra"], SPEC, MAPPING)
@@ -119,19 +126,31 @@ def _assert_same_aggregates(result_a, result_b):
     _assert_same_index(result_a[1], result_b[1])
 
 
-def _assert_matches_lines_and_oracle(path, lines, *, header):
+def _assert_matches_lines_and_oracle(path, lines, *, header, spec=SPEC, mapping=MAPPING):
     """Ingest counts what ``lines`` hold, and its report equals the oracle's.
 
-    A line is a record exactly when it has three fields, so the accepted and
-    rejected counts are worked out here from the lines themselves.
+    A line is a record exactly when it has one field per column, so the
+    accepted and rejected counts, and each record's cell, are worked out
+    here from the lines themselves.
     """
-    marginals, index = ingest_paths([path], SPEC, MAPPING, header=header, workers=1)
-    accepted = sum(line.count(",") == 2 for line in lines)
+    marginals, index = ingest_paths([path], spec, mapping, header=header, workers=1)
+    indexes = [mapping.index_of(name) for name in (*spec.categories, spec.entity_field)]
+    cells = {}
+    for line in lines:
+        fields = line.split(mapping.delimiter)
+        if len(fields) == mapping.column_count:
+            *combination, entity = [fields[i].strip() or mapping.missing_token for i in indexes]
+            cell = cells.setdefault(tuple(combination), {})
+            cell[entity] = cell.get(entity, 0) + 1
+    accepted = sum(sum(cell.values()) for cell in cells.values())
     assert (index.total_records, index.rejected_records) == (accepted, len(lines) - accepted)
-    assert _cell_sum(index) == index.total_records
+    assert index.cells == cells
     if accepted:
-        reports = recommend_all(index, generate_baseline(marginals, SPEC), SPEC)
-        oracle = oracle_recommend(path, SPEC, header=header, columns=MAPPING.column_names)
+        reports = recommend_all(index, generate_baseline(marginals, spec), spec)
+        oracle = oracle_recommend(
+            path, spec, header=header, columns=mapping.column_names,
+            missing_token=mapping.missing_token,
+        )
         assert emit_report(reports) == emit_report(oracle)
 
 
@@ -366,19 +385,43 @@ def _repeating(element, max_size):
     )
 
 
-class TestBatchedCounting:
-    """Counting distinct lines a batch at a time keeps every count and report exact."""
+# (column names, categories, entity): the entity column last, a single
+# category (``itemgetter`` of one index returns a scalar), and the entity
+# first with an unused column between the two categories.
+_LAYOUTS = {
+    "two-categories": (("Browser", "Country", "Customer"), ("Browser", "Country"), "Customer"),
+    "one-category": (("Browser", "Customer"), ("Browser",), "Customer"),
+    "entity-first": (
+        ("Customer", "Browser", "Path", "Country"), ("Browser", "Country"), "Customer"
+    ),
+}
+_name = st.sampled_from(["a", "b", "c", "Unknown", ""])
+_pad = st.sampled_from([" ", "  ", "\t", "\u3000", ""])
+# A name as stored, or padded, or blank, so one stored name is reached both by
+# raw hits and by misses that strip and fill in the missing token.
+_spelled = st.one_of(
+    _name, st.builds(lambda left, name, right: left + name + right, _pad, _name, _pad)
+)
+# Five fields and a width offset: a line is the first width + offset fields,
+# so now and then it has one field too few or too many.
+_row = st.tuples(st.lists(_spelled, min_size=5, max_size=5), st.sampled_from([0, 0, 0, -1, 1]))
 
-    @pytest.mark.parametrize("batch", [1, 2, 3, None])
+
+class TestRawKeyCounting:
+    """Looking names up raw first, and stripped on a miss, keeps every count exact."""
+
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
     @settings(max_examples=25)
-    @given(lines=_repeating(_line, 40))
-    def test_matches_reference(self, batch, lines):
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-            if batch is not None:
-                patch.setattr(ingest_module, "_BATCH_LINES", batch)
+    @given(rows=_repeating(_row, 40))
+    def test_matches_reference(self, layout, rows):
+        columns, categories, entity = _LAYOUTS[layout]
+        spec = AnalysisSpec(categories, entity, p=1, k=3)
+        mapping = FieldMapping(columns)
+        lines = [",".join(fields[: len(columns) + offset]) for fields, offset in rows]
+        with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "log.csv"
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-            _assert_matches_lines_and_oracle(path, lines, header=False)
+            _assert_matches_lines_and_oracle(path, lines, header=False, spec=spec, mapping=mapping)
 
 
 _noise = st.sampled_from(["", " ", "  ", "\t", "\v", "\f", "\u2028"])
@@ -505,6 +548,31 @@ class TestLineRule:
         for workers in (2, 3, 4):
             _, index = ingest_paths([path], spec, mapping, header=True, workers=workers)
             _assert_same_index(index, single)
+
+
+class TestMemoryBound:
+    """Ingest holds the index and the lines of one block, not a share of the log."""
+
+    def test_traced_peak_stays_near_the_index(self, tmp_path):
+        # 8,000 lines, each with a distinct unused 500-byte column: 4 MB of
+        # log behind an index of 91 cells and 101 entities.
+        mapping = FieldMapping(("Browser", "Country", "Request", "Customer"))
+        path = tmp_path / "log.csv"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(",".join(mapping.column_names) + "\n")
+            for i in range(8000):
+                handle.write(f"br{i % 7},co{i % 13},{i:0500d},cust{i % 101}\n")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, index = ingest_paths([path], SPEC, mapping, header=True, workers=1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (index.total_records, len(index.cells), len(index.entities())) == (8000, 91, 101)
+        assert held - base < 1 << 20
+        assert peak - held < 1 << 20
 
 
 class TestResolveMapping:
