@@ -407,6 +407,21 @@ _spelled = st.one_of(
 _row = st.tuples(st.lists(_spelled, min_size=5, max_size=5), st.sampled_from([0, 0, 0, -1, 1]))
 
 
+class TestBatchedCounting:
+    """Counting lines read a few bytes at a time keeps every count and report exact."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, None])
+    @settings(max_examples=25)
+    @given(lines=_repeating(_line, 40))
+    def test_matches_reference(self, batch, lines):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            if batch is not None:
+                patch.setattr(ingest_module, "_BLOCK_BYTES", batch)
+            path = Path(tmp) / "log.csv"
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            _assert_matches_lines_and_oracle(path, lines, header=False)
+
+
 class TestRawKeyCounting:
     """Looking names up raw first, and stripped on a miss, keeps every count exact."""
 
