@@ -34,9 +34,8 @@ class ConfigError(ValueError):
 class FieldMapping:
     """Maps one delimited log line onto named columns.
 
-    Fields are stripped, and empty ones are replaced by ``missing_token``,
-    which then participates as an ordinary categorical value; it must be
-    non-empty and unpadded, so every stored name is its own stripped form.
+    Empty fields are replaced by ``missing_token``, which then participates
+    as an ordinary categorical value.
     """
 
     column_names: tuple[str, ...]
@@ -55,12 +54,6 @@ class FieldMapping:
             raise ConfigError(f"duplicate column names in {self.column_names}")
         if not self.missing_token:
             raise ConfigError("missing_token must be non-empty")
-        if self.missing_token != self.missing_token.strip():
-            # Ingest counts a raw field that equals a stored name as that name, which
-            # is exact only while every stored name is its own stripped form.
-            raise ConfigError(
-                f"missing_token must not start or end with whitespace, got {self.missing_token!r}"
-            )
 
     @property
     def column_count(self) -> int:

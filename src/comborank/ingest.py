@@ -11,15 +11,14 @@ is read by one byte-level reader with one line rule: blocks of
 undecodable bytes replaced, and split at ``\\n``, ``\\r\\n`` and a lone
 ``\\r`` only.  One UTF-8 byte order mark at the start of a file is dropped.
 
-``ingest_paths`` splits each line once and counts it straight into its
-index cell, looked up by the raw fields first and stripped only when that
-misses, so nothing but the index outlives a line.  ``ingest_lines`` runs the
-same counting over lines already in memory.  In a single context memory is
-bounded by the index plus the lines of one block.  Marginals are derived
-from the cell totals.  Plain files can be fanned out over byte ranges with
-``workers`` processes, whose cells the parent adds up.  Gzip inputs are
-always read in a single context because the stream does not support random
-access.
+``ingest_paths`` splits each line once, normalizes its used fields and
+counts it straight into its index cell, so nothing but the index outlives a
+line.  ``ingest_lines`` runs the same counting over lines already in
+memory.  In a single context memory is bounded by the index plus the lines
+of one block.  Marginals are derived from the cell totals.  Plain files can
+be fanned out over byte ranges with ``workers`` processes, whose cells the
+parent adds up.  Gzip inputs are always read in a single context because the
+stream does not support random access.
 
 Malformed lines (wrong column count after splitting) are counted and skipped,
 never fatal.
@@ -32,7 +31,6 @@ import zlib
 from dataclasses import dataclass, field
 from itertools import chain
 from math import inf
-from operator import itemgetter
 from os import cpu_count
 from pathlib import Path
 from sys import intern
@@ -143,23 +141,16 @@ def _count_lines(
 ) -> tuple[int, int]:
     """Hot loop: add raw lines into ``cells``; returns (accepted, rejected).
 
-    Each line is split once and counted straight into its cell.  The cell is
-    looked up by the raw category fields and the entity by its raw field;
-    only on a miss are they stripped, given the missing token and looked up
-    again.  A raw hit is exact because every stored name is already stripped
-    and non-empty (``FieldMapping`` forbids a padded missing token), so it is
-    its own normal form.  Names are interned when a cell or an entity is
-    stored anew, so the index holds one string object per distinct name.
+    Each line is split once, its used fields stripped and empty ones given
+    the missing token, and it is counted straight into its cell, so nothing
+    but the index outlives a line.  Names are interned when a cell or an
+    entity is stored anew, so the index holds one string object per distinct
+    name.
     """
     delimiter = mapping.delimiter
     column_count = mapping.column_count
     missing = mapping.missing_token
     *category_indexes, entity_index = used_indexes
-    project = itemgetter(*category_indexes)
-    if len(category_indexes) == 1:
-        # One index makes itemgetter return the field itself, not a 1-tuple.
-        (only,) = category_indexes
-        project = lambda fields: (fields[only],)
     seen = 0
     rejected = 0
     for seen, line in enumerate(lines, 1):
@@ -167,22 +158,17 @@ def _count_lines(
         if len(fields) != column_count:
             rejected += 1
             continue
-        combination = project(fields)
+        combination = tuple([fields[i].strip() or missing for i in category_indexes])
+        entity = fields[entity_index].strip() or missing
         cell = cells.get(combination)
         if cell is None:
-            combination = tuple([value.strip() or missing for value in combination])
-            cell = cells.get(combination)
-            if cell is None:
-                cell = cells[tuple([intern(value) for value in combination])] = {}
-        entity = fields[entity_index]
-        count = cell.get(entity)
-        if count is None:
-            entity = entity.strip() or missing
+            cells[tuple([intern(value) for value in combination])] = {intern(entity): 1}
+        else:
             count = cell.get(entity)
             if count is None:
                 cell[intern(entity)] = 1
-                continue
-        cell[entity] = count + 1
+            else:
+                cell[entity] = count + 1
     return seen - rejected, rejected
 
 

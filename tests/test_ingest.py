@@ -386,8 +386,8 @@ def _repeating(element, max_size):
 
 
 # (column names, categories, entity): the entity column last, a single
-# category (``itemgetter`` of one index returns a scalar), and the entity
-# first with an unused column between the two categories.
+# category, and the entity first with an unused column between the two
+# categories.
 _LAYOUTS = {
     "two-categories": (("Browser", "Country", "Customer"), ("Browser", "Country"), "Customer"),
     "one-category": (("Browser", "Customer"), ("Browser",), "Customer"),
@@ -397,8 +397,7 @@ _LAYOUTS = {
 }
 _name = st.sampled_from(["a", "b", "c", "Unknown", ""])
 _pad = st.sampled_from([" ", "  ", "\t", "\u3000", ""])
-# A name as stored, or padded, or blank, so one stored name is reached both by
-# raw hits and by misses that strip and fill in the missing token.
+# A name as stored, or padded, or blank, so one stored name is spelled several ways.
 _spelled = st.one_of(
     _name, st.builds(lambda left, name, right: left + name + right, _pad, _name, _pad)
 )
@@ -408,32 +407,19 @@ _row = st.tuples(st.lists(_spelled, min_size=5, max_size=5), st.sampled_from([0,
 
 
 class TestBatchedCounting:
-    """Counting lines read a few bytes at a time keeps every count and report exact."""
+    """Lines read a few bytes at a time, with names spelled several ways, count exactly."""
 
-    @pytest.mark.parametrize("batch", [1, 2, 3, None])
+    @pytest.mark.parametrize("block", [1, 2, 3, None])
     @settings(max_examples=25)
-    @given(lines=_repeating(_line, 40))
-    def test_matches_reference(self, batch, lines):
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-            if batch is not None:
-                patch.setattr(ingest_module, "_BLOCK_BYTES", batch)
-            path = Path(tmp) / "log.csv"
-            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-            _assert_matches_lines_and_oracle(path, lines, header=False)
-
-
-class TestRawKeyCounting:
-    """Looking names up raw first, and stripped on a miss, keeps every count exact."""
-
-    @pytest.mark.parametrize("layout", list(_LAYOUTS))
-    @settings(max_examples=25)
-    @given(rows=_repeating(_row, 40))
-    def test_matches_reference(self, layout, rows):
+    @given(layout=st.sampled_from(list(_LAYOUTS)), rows=_repeating(_row, 40))
+    def test_matches_reference(self, block, layout, rows):
         columns, categories, entity = _LAYOUTS[layout]
         spec = AnalysisSpec(categories, entity, p=1, k=3)
         mapping = FieldMapping(columns)
         lines = [",".join(fields[: len(columns) + offset]) for fields, offset in rows]
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(ingest_module, "_BLOCK_BYTES", block)
             path = Path(tmp) / "log.csv"
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             _assert_matches_lines_and_oracle(path, lines, header=False, spec=spec, mapping=mapping)
