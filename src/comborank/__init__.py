@@ -23,7 +23,6 @@ from .explain import (
     ChartData,
     emit_report,
     explain,
-    parse_reports,
     render_chart,
     write_explanation,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "ingest_paths",
     "merge_indexes",
     "mrr_from_ranks",
-    "parse_reports",
     "rank_ordering",
     "recommend_all",
     "render_chart",

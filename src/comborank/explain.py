@@ -345,36 +345,6 @@ def write_report(
     return path
 
 
-def parse_reports(text: str) -> list[EntityAnomalyReport]:
-    """Rebuild reports from a JSON document produced by emit_report."""
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    reports = []
-    for entry in doc["entities"]:
-        items = tuple(
-            AnomalyItem(
-                tuple(item["combination"]),
-                item["distance"],
-                item["rr"],
-                item["rank"],
-                item["cohort_size"],
-                item["count"],
-            )
-            for item in entry["items"]
-        )
-        reports.append(
-            EntityAnomalyReport(
-                entry["entity"],
-                entry["mrr"],
-                entry["expected_rank"],
-                entry["baseline_presence"],
-                items,
-            )
-        )
-    return reports
-
-
 # --- file layout ---------------------------------------------------------------
 
 def _slug(text: str) -> str:

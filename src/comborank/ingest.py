@@ -362,7 +362,12 @@ def _count_file(
     workers: int,
     cells: Cells,
 ) -> tuple[int, int]:
-    """Add one log file's lines into ``cells``; returns (accepted, rejected)."""
+    """Add one log file's lines into ``cells``; returns (accepted, rejected).
+
+    A plain file is read up to the size it had after its header check, with
+    any worker count, so lines appended while it is read count for none.
+    Gzip files are read to their end.
+    """
     if header:
         observed = read_header(path, mapping.delimiter)
         if observed != mapping.column_names:
@@ -370,12 +375,11 @@ def _count_file(
                 f"{path}: header {observed} does not match mapping {mapping.column_names}"
             )
 
-    ranges: list[tuple[int, int]] = []
-    if not _is_gzip(path) and workers > 1:
-        ranges = _chunk_ranges(path.stat().st_size, workers)
+    size = inf if _is_gzip(path) else path.stat().st_size
+    ranges = [] if size == inf else _chunk_ranges(size, workers)
     if len(ranges) <= 1:
         try:
-            _, total, rejected = _count_range(path, 0, inf, header, mapping, used_indexes, cells)
+            _, total, rejected = _count_range(path, 0, size, header, mapping, used_indexes, cells)
         except _DAMAGED_GZIP as exc:
             raise _with_path(exc, path) from exc
         return total, rejected

@@ -14,6 +14,14 @@ The anomaly score of an entity in an observed non-baseline combination is
 the absolute difference between its reciprocal rank there and its MRR, i.e.
 how far the entity sits from where its baseline behaviour says it should.
 
+One pass scores and orders the candidates: ``_best_candidates`` ranks each
+scored cohort once and keeps each entity's best k candidates in a heap.
+``recommend.recommend_all`` runs it with the analysis's k.  The full-table
+names are views of the same pass: ``baseline_stats`` gives the reports'
+baseline summaries without items, ``compute_distances`` runs the pass with
+k at the number of scored cohorts so that every candidate is kept, and
+``recommend.top_k`` takes the first k of an entity's row.
+
 All reciprocal-rank sums go through ``math.fsum``, which is exactly rounded
 and therefore insensitive to accumulation order.  Combined with integer
 counts this makes every statistic bit-identical regardless of how the input
@@ -23,6 +31,7 @@ was chunked or how many workers built the index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
 from math import fsum
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -93,18 +102,32 @@ def mrr_from_ranks(ranks: Iterable[int | None]) -> float | None:
     return fsum(rrs) / len(rrs)
 
 
-class EntityBaselineStats(NamedTuple):
-    """An entity's baseline summary.
+class AnomalyItem(NamedTuple):
+    """One scored (entity, non-baseline combination) pair with the evidence behind its score."""
+
+    combination: tuple[str, ...]
+    distance: float
+    rr: float
+    rank: int
+    cohort_size: int
+    count: int
+
+
+class EntityAnomalyReport(NamedTuple):
+    """An entity's baseline summary and its highest-distance combinations.
 
     ``baseline_presence`` counts the baseline combinations where the entity
     appears.  ``expected_rank`` is 1/MRR, the rank the entity would need in a
-    cohort to look exactly as popular as its baseline average says.
+    cohort to look exactly as popular as its baseline average says.  ``mrr``
+    is None for entities absent from every baseline combination; such
+    entities carry no items because they cannot be scored.
     """
 
     entity: str
     mrr: float | None
     expected_rank: float | None
     baseline_presence: int
+    items: tuple[AnomalyItem, ...]
 
 
 def _baseline_ranks(index: ContingencyIndex, baseline: BaselineSet) -> dict[str, list[int]]:
@@ -131,43 +154,34 @@ def _baseline_ranks(index: ContingencyIndex, baseline: BaselineSet) -> dict[str,
     return per_entity
 
 
-def baseline_stats(index: ContingencyIndex, baseline: BaselineSet) -> dict[str, EntityBaselineStats]:
-    """Baseline statistics for every entity observed anywhere in the index."""
+def baseline_stats(index: ContingencyIndex, baseline: BaselineSet) -> dict[str, EntityAnomalyReport]:
+    """Every observed entity's baseline summary, as a report without items."""
     per_entity = _baseline_ranks(index, baseline)
     stats = {}
     for entity in sorted(index.entities()):
         ranks = per_entity.get(entity, ())
         mrr = mrr_from_ranks(ranks)
         expected = None if mrr is None else 1.0 / mrr
-        stats[entity] = EntityBaselineStats(entity, mrr, expected, len(ranks))
+        stats[entity] = EntityAnomalyReport(entity, mrr, expected, len(ranks), ())
     return stats
-
-
-class AnomalyItem(NamedTuple):
-    """One scored (entity, non-baseline combination) pair with the evidence behind its score."""
-
-    combination: tuple[str, ...]
-    distance: float
-    rr: float
-    rank: int
-    cohort_size: int
-    count: int
 
 
 @dataclass
 class DistanceTable:
-    """Scored pairs indexed by entity then combination, plus the stats behind them."""
+    """Every scored pair, by entity then combination in report order, plus the stats behind them."""
 
     by_entity: dict[str, dict[tuple[str, ...], AnomalyItem]]
-    entity_stats: dict[str, EntityBaselineStats]
+    entity_stats: dict[str, EntityAnomalyReport]
 
     def __len__(self) -> int:
         return sum(len(per_combo) for per_combo in self.by_entity.values())
 
 
-def _scored_cohorts(
-    index: ContingencyIndex, baseline: BaselineSet, min_support: int
-) -> list[tuple[tuple[str, ...], dict[str, int]]]:
+_Cohorts = list[tuple[tuple[str, ...], dict[str, int]]]
+_Candidate = tuple[float, int, float, int, int]
+
+
+def _scored_cohorts(index: ContingencyIndex, baseline: BaselineSet, min_support: int) -> _Cohorts:
     """The cohorts that get scored, as (combination, cell), combination ascending.
 
     Baseline combinations are skipped, and so are combinations whose total
@@ -199,26 +213,60 @@ def _scores(
             yield entity, abs(rr - mrr), rr, rank, count
 
 
+def _best_candidates(
+    cohorts: _Cohorts, mrrs: dict[str, float], k: int
+) -> dict[str, list[_Candidate]]:
+    """The one ranking pass: each entity's best k candidates over ``cohorts``.
+
+    Each cohort is ranked in turn, and each entity with an MRR keeps its
+    candidates in a min-heap of ``(distance, -position, rr, rank, count)``,
+    ``position`` being the cohort's place in ``cohorts``.  A larger key is a
+    larger distance, or an equal distance and a smaller combination, which is
+    the report order.  Since positions only grow, a candidate whose distance
+    merely equals the heap's smallest has the smaller key and stays out: only
+    a strictly larger distance replaces the root.
+    """
+    best: dict[str, list[_Candidate]] = {}
+    for position, (_combo, cell) in enumerate(cohorts):
+        for entity, distance, rr, rank, count in _scores(cell, mrrs):
+            heap = best.get(entity)
+            if heap is None:
+                best[entity] = [(distance, -position, rr, rank, count)]
+            elif len(heap) < k:
+                heappush(heap, (distance, -position, rr, rank, count))
+            elif distance > heap[0][0]:
+                heapreplace(heap, (distance, -position, rr, rank, count))
+    return best
+
+
+def _items(heap: list[_Candidate], cohorts: _Cohorts) -> tuple[AnomalyItem, ...]:
+    """A heap's candidates as items in report order: distance descending, then combination."""
+    heap.sort(reverse=True)
+    items = []
+    for distance, negative_position, rr, rank, count in heap:
+        combo, cell = cohorts[-negative_position]
+        items.append(AnomalyItem(combo, distance, rr, rank, len(cell), count))
+    return tuple(items)
+
+
 def compute_distances(
-    stats: dict[str, EntityBaselineStats],
+    stats: dict[str, EntityAnomalyReport],
     index: ContingencyIndex,
     baseline: BaselineSet,
     min_support: int = 1,
 ) -> DistanceTable:
     """Score every entity in every observed non-baseline combination.
 
-    Combinations whose total count falls below ``min_support`` are skipped,
-    as are entities without an MRR (no baseline presence).
+    This is the ranking pass with its bound at the number of scored cohorts,
+    so every candidate is kept, and each entity's row lists them in report
+    order.  Combinations whose total count falls below ``min_support`` are
+    skipped, as are entities without an MRR (no baseline presence).
     """
     mrrs = {entity: s.mrr for entity, s in stats.items() if s.mrr is not None}
-    by_entity: dict[str, dict[tuple[str, ...], AnomalyItem]] = {}
-    for combo, cell in _scored_cohorts(index, baseline, min_support):
-        cohort = len(cell)
-        for entity, distance, rr, rank, count in _scores(cell, mrrs):
-            item = AnomalyItem(combo, distance, rr, rank, cohort, count)
-            per_combo = by_entity.get(entity)
-            if per_combo is None:
-                by_entity[entity] = {combo: item}
-            else:
-                per_combo[combo] = item
+    cohorts = _scored_cohorts(index, baseline, min_support)
+    best = _best_candidates(cohorts, mrrs, len(cohorts))
+    by_entity = {}
+    for entity in list(best):
+        # Popped, so each heap is freed as its row is built.
+        by_entity[entity] = {item.combination: item for item in _items(best.pop(entity), cohorts)}
     return DistanceTable(by_entity, stats)

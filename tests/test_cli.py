@@ -9,7 +9,7 @@ import pytest
 
 import comborank
 
-from comborank import baseline_stats, compute_distances, emit_report, top_k
+from comborank import emit_report
 from comborank import ingest as ingest_module
 from comborank.cli import (
     EXIT_INPUT,
@@ -22,8 +22,8 @@ from comborank.cli import (
     run_pipeline,
     write_artifacts,
 )
-from comborank.config import RunSettings
-from comborank.synthgen import config_to_json, generate_log, synthetic_config
+from comborank.config import AnalysisSpec, RunSettings
+from comborank.synthgen import config_to_json, generate_log, oracle_recommend, synthetic_config
 
 from fixture_logs import ENTITY_A, RANK_PROFILE_COLUMNS, rank_profile_log
 
@@ -46,7 +46,7 @@ def analysis_conf(tmp_path):
 
 class TestRunPipeline:
     def test_matches_library_reports(self, sample_log, tmp_path):
-        """The pipeline's bounded top-k pass reports what ``top_k`` of the full table does."""
+        """The pipeline's bounded top-k pass reports what the brute-force oracle does."""
         categories = ("cat1", "cat2", "cat3", "cat4")
         for min_support in (0, 2):
             for k in range(1, 7):
@@ -54,10 +54,9 @@ class TestRunPipeline:
                     categories=categories, entity="entity", k=k, min_support=min_support
                 )
                 result = run_pipeline(RunConfig((sample_log,), tmp_path, settings, threads=1))
-                stats = baseline_stats(result.index, result.baseline)
-                table = compute_distances(stats, result.index, result.baseline, min_support)
-                library = [top_k(entity, table, k) for entity in sorted(stats)]
-                assert emit_report(result.reports) == emit_report(library), (k, min_support)
+                spec = AnalysisSpec(categories, "entity", k=k, min_support=min_support)
+                expected = oracle_recommend(sample_log, spec)
+                assert emit_report(result.reports) == emit_report(expected), (k, min_support)
                 assert result.times.total_s > 0
 
     def test_written_reports_equal_emitted_text(self, sample_log, tmp_path):
@@ -403,7 +402,7 @@ def test_public_api_is_pinned():
         "ConfigError", "ContingencyIndex", "EmptyCategoryError", "EntityAnomalyReport",
         "FieldMapping", "RunSettings", "SchemaMismatch", "baseline_stats",
         "compute_distances", "emit_report", "explain", "generate_baseline", "ingest_lines",
-        "ingest_paths", "merge_indexes", "mrr_from_ranks", "parse_reports", "rank_ordering",
+        "ingest_paths", "merge_indexes", "mrr_from_ranks", "rank_ordering",
         "recommend_all", "render_chart", "resolve_mapping", "settings_from_file", "top_k",
         "top_p_values", "write_explanation",
     ]

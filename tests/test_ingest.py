@@ -272,6 +272,31 @@ class TestIngestFile:
                 ingest_paths([path], SPEC, MAPPING, header=True, workers=workers), single
             )
 
+    def test_worker_count_ignores_lines_appended_while_reading(self, tmp_path, monkeypatch):
+        """A log still being written gives one index whatever the worker count.
+
+        Every open appends ten lines, as a writer would between the reads.
+        Each worker count reads the size the file had after its header was
+        checked, so lines appended later count for none of them.
+        """
+        monkeypatch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 1024)
+        open_log = ingest_module._open_log
+
+        def open_growing(path):
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write("F,US,late\n" * 10)
+            return open_log(path)
+
+        monkeypatch.setattr(ingest_module, "_open_log", open_growing)
+        rows = "".join(f"b{i % 7},c{i % 5},e{i % 11}\n" for i in range(3000))
+        indexes = {}
+        for workers in (1, 2, 3):
+            path = self._write(tmp_path, f"log{workers}.csv", "Browser,Country,Customer\n" + rows)
+            _, indexes[workers] = ingest_paths([path], SPEC, MAPPING, workers=workers)
+        assert indexes[1].total_records == 3010
+        assert indexes[2] == indexes[1]
+        assert indexes[3] == indexes[1]
+
     def test_worker_count_ignores_non_newline_separators(self, tmp_path, monkeypatch):
         """Only \\n, \\r\\n and a lone \\r end a line, whatever the worker count.
 

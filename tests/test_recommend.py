@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,12 +9,16 @@ from comborank import (
     AnalysisSpec,
     BaselineSet,
     ContingencyIndex,
+    FieldMapping,
     baseline_stats,
     compute_distances,
     emit_report,
+    generate_baseline,
+    ingest_lines,
     recommend_all,
     top_k,
 )
+from comborank.synthgen import oracle_recommend
 
 
 def _index(cells: dict) -> ContingencyIndex:
@@ -130,20 +137,30 @@ _cohort = st.dictionaries(st.sampled_from(["e1", "e2", "e3", "e4"]), st.integers
 class TestBoundedPass:
     @given(
         st.dictionaries(_combo, _cohort, min_size=1),
-        st.lists(_combo, min_size=1, max_size=4),
+        st.tuples(st.integers(1, 2), st.integers(1, 2)),
         st.integers(1, 4),
         st.integers(0, 3),
     )
-    def test_equals_top_k_of_the_full_table(self, cells, baseline_combos, k, min_support):
-        """``recommend_all``'s per-entity heaps report what ``top_k`` of the full table does.
+    def test_equals_top_k_of_the_full_table(self, cells, p, k, min_support):
+        """``recommend_all``'s per-entity heaps report what the oracle's full sort does.
 
-        Counts of 1 to 3 make ranks, and so distances, tie across
-        combinations, which is where a heap's tie-break and its replace test
-        could differ from ``top_k``'s order.
+        The drawn cells are written out as log lines, the baseline comes from
+        their value counts, and ``oracle_recommend`` reads the log back, sorts
+        every scored pair and keeps the first k.  Counts of 1 to 3 make
+        ranks, and so distances, tie across combinations, which is where a
+        heap's tie-break and its replace test could differ from a full sort.
         """
-        index, baseline, table = _table(cells, baseline_combos, min_support)
-        spec = AnalysisSpec(
-            categories=("C1", "C2"), entity_field="E", p=1, k=k, min_support=min_support
-        )
-        expected = [top_k(entity, table, k) for entity in sorted(table.entity_stats)]
+        spec = AnalysisSpec(("C1", "C2"), "E", p=p, k=k, min_support=min_support)
+        lines = [
+            f"{c1},{c2},{entity}\n"
+            for (c1, c2), cohort in cells.items()
+            for entity, count in cohort.items()
+            for _ in range(count)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "log.csv"
+            log.write_text("C1,C2,E\n" + "".join(lines), encoding="utf-8")
+            expected = oracle_recommend(log, spec)
+        marginals, index = ingest_lines(lines, spec, FieldMapping(("C1", "C2", "E")))
+        baseline = generate_baseline(marginals, spec)
         assert emit_report(recommend_all(index, baseline, spec)) == emit_report(expected)
