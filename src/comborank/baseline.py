@@ -7,7 +7,6 @@ observed outside that product is a candidate for anomaly scoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .config import AnalysisSpec, ConfigError
@@ -18,7 +17,6 @@ class EmptyCategoryError(ValueError):
     """A category has no observed values, so no baseline can be built."""
 
 
-@dataclass(frozen=True)
 class BaselineSet:
     """The expected combinations: per-category top values and their product.
 
@@ -28,13 +26,19 @@ class BaselineSet:
     order.
     """
 
-    categories: tuple[str, ...]
-    top_values: tuple[tuple[str, ...], ...]
-    combinations: frozenset[tuple[str, ...]]
+    __slots__ = ("categories", "top_values", "combinations")
 
-    def __post_init__(self) -> None:
-        if len(self.top_values) != len(self.categories):
+    def __init__(
+        self,
+        categories: tuple[str, ...],
+        top_values: tuple[tuple[str, ...], ...],
+        combinations: frozenset[tuple[str, ...]],
+    ) -> None:
+        if len(top_values) != len(categories):
             raise ConfigError("top_values must align with categories")
+        self.categories = categories
+        self.top_values = top_values
+        self.combinations = combinations
 
     @property
     def size(self) -> int:

@@ -13,10 +13,9 @@ import json
 import sys
 import time
 import zlib
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .baseline import BaselineSet, baseline_as_dict, generate_baseline
 from .config import (
@@ -27,9 +26,9 @@ from .config import (
     parse_p,
     settings_from_file,
 )
-from .explain import explain, write_explanation, write_report
+from .explain import explain, write_explanation, write_reports
 from .ingest import ContingencyIndex, SchemaMismatch, ingest_paths, resolve_mapping
-from .recommend import EntityAnomalyReport, recommend_all
+from .recommend import EntityAnomalyReport, rank_reports, recommend_all
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,8 +44,7 @@ class InputError(Exception):
     """Bad input data or configuration; maps to exit code 2."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """One resolved pipeline invocation."""
 
     inputs: tuple[Path, ...]
@@ -56,19 +54,20 @@ class RunConfig:
     report_format: str = "json"
 
 
-@dataclass
 class StageTimes:
-    ingest_s: float = 0.0
-    baseline_s: float = 0.0
-    rank_s: float = 0.0
+    __slots__ = ("ingest_s", "baseline_s", "rank_s")
+
+    def __init__(self, ingest_s: float = 0.0, baseline_s: float = 0.0, rank_s: float = 0.0):
+        self.ingest_s = ingest_s
+        self.baseline_s = baseline_s
+        self.rank_s = rank_s
 
     @property
     def total_s(self) -> float:
         return self.ingest_s + self.baseline_s + self.rank_s
 
 
-@dataclass(frozen=True)
-class BenchResult:
+class BenchResult(NamedTuple):
     """One timed pipeline run over a generated log."""
 
     entries: int
@@ -81,13 +80,24 @@ class BenchResult:
         return self.entries / total if total > 0 else 0.0
 
 
-@dataclass
 class PipelineResult:
-    spec: AnalysisSpec
-    index: ContingencyIndex
-    baseline: BaselineSet
-    times: StageTimes
-    reports: list[EntityAnomalyReport] = field(default_factory=list)
+    """What a run has computed; ``run_pipeline`` fills ``reports``, ``discover`` leaves it empty."""
+
+    __slots__ = ("spec", "index", "baseline", "times", "reports")
+
+    def __init__(
+        self,
+        spec: AnalysisSpec,
+        index: ContingencyIndex,
+        baseline: BaselineSet,
+        times: StageTimes,
+        reports: list[EntityAnomalyReport] | None = None,
+    ) -> None:
+        self.spec = spec
+        self.index = index
+        self.baseline = baseline
+        self.times = times
+        self.reports = [] if reports is None else reports
 
 
 def _resolve_inputs(paths: Sequence[str | Path]) -> tuple[Path, ...]:
@@ -149,18 +159,57 @@ def _write_baseline(baseline: BaselineSet, out_dir: Path) -> Path:
     return path
 
 
-def write_artifacts(result: PipelineResult, out_dir: Path, report_format: str) -> list[Path]:
-    """Write baseline.json and reports; reports.json is always the canonical one."""
-    written = [
-        _write_baseline(result.baseline, out_dir),
-        write_report(result.reports, out_dir / "reports.json"),
-    ]
+def write_artifacts(
+    result: PipelineResult,
+    out_dir: Path,
+    report_format: str,
+    reports: Iterable[EntityAnomalyReport] | None = None,
+) -> list[Path]:
+    """Write baseline.json and reports; reports.json is always the canonical one.
+
+    ``reports`` defaults to ``result.reports``.  Either way they come in
+    entity order and are read once, so a ranking generator streams straight
+    into the files.
+    """
+    written = [_write_baseline(result.baseline, out_dir), out_dir / "reports.json"]
     if report_format == "csv":
-        written.append(write_report(result.reports, out_dir / "reports.csv", "csv"))
+        written.append(out_dir / "reports.csv")
+    write_reports(result.reports if reports is None else reports, *written[1:])
     return written
 
 
-def _print_summary(result: PipelineResult, threads: int) -> None:
+class _Tally:
+    """Reports on their way to disk: counts them and keeps the one for ``entity``."""
+
+    def __init__(self, reports: Iterable[EntityAnomalyReport], entity: str | None = None):
+        self.reports = reports
+        self.entity = entity
+        self.count = 0
+        self.kept: EntityAnomalyReport | None = None
+
+    def __iter__(self) -> Iterator[EntityAnomalyReport]:
+        for report in self.reports:
+            self.count += 1
+            if report.entity == self.entity:
+                self.kept = report
+            yield report
+
+
+def _rank_into_artifacts(
+    result: PipelineResult, config: RunConfig, entity: str | None = None
+) -> tuple[list[Path], _Tally]:
+    """Rank straight into the artifacts, holding one report at a time.
+
+    ``rank_s`` covers ranking and writing the artifacts, which interleave.
+    """
+    started = time.perf_counter()
+    tally = _Tally(rank_reports(result.index, result.baseline, result.spec), entity)
+    written = write_artifacts(result, config.out_dir, config.report_format, tally)
+    result.times.rank_s = time.perf_counter() - started
+    return written, tally
+
+
+def _print_summary(result: PipelineResult, threads: int, reports: int) -> None:
     times = result.times
     index = result.index
     rate = index.total_records / times.total_s if times.total_s > 0 else 0.0
@@ -169,7 +218,7 @@ def _print_summary(result: PipelineResult, threads: int) -> None:
         f"in {times.ingest_s:.2f}s [{threads} worker(s)]"
     )
     print(f"baseline: {result.baseline.size} expected combinations in {times.baseline_s:.2f}s")
-    print(f"rank: {len(result.reports)} entity reports in {times.rank_s:.2f}s")
+    print(f"rank: {reports} entity reports in {times.rank_s:.2f}s")
     print(f"discovery time: {times.total_s:.2f}s ({rate:,.0f} entries/s)")
 
 
@@ -215,9 +264,9 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 def cmd_recommend(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    result = run_pipeline(config)
-    written = write_artifacts(result, config.out_dir, config.report_format)
-    _print_summary(result, config.threads)
+    result = discover(config)
+    written, tally = _rank_into_artifacts(result, config)
+    _print_summary(result, config.threads, tally.count)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
@@ -225,15 +274,14 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    result = run_pipeline(config)
-    by_entity = {report.entity: report for report in result.reports}
-    report = by_entity.get(args.entity)
-    if report is None:
+    result = discover(config)
+    # Checked before anything is written: the entity's report streams by late.
+    if not any(args.entity in cell for cell in result.index.cells.values()):
         raise InputError(f"entity {args.entity!r} not observed in the input")
-    bundle = explain(args.entity, report, result.index, result.baseline)
-    written = write_artifacts(result, config.out_dir, config.report_format)
+    written, tally = _rank_into_artifacts(result, config, args.entity)
+    bundle = explain(args.entity, tally.kept, result.index, result.baseline)
     target = write_explanation(bundle, config.out_dir / "explanations")
-    _print_summary(result, config.threads)
+    _print_summary(result, config.threads, tally.count)
     for path in written:
         print(f"wrote {path}")
     print(

@@ -19,7 +19,6 @@ configured through the file (use ``\\t`` or ``tab`` for tab-separated logs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +29,6 @@ class ConfigError(ValueError):
     """Rejected configuration: bad mapping, bad analysis parameters, or a bad config file."""
 
 
-@dataclass(frozen=True)
 class FieldMapping:
     """Maps one delimited log line onto named columns.
 
@@ -38,22 +36,28 @@ class FieldMapping:
     as an ordinary categorical value.
     """
 
-    column_names: tuple[str, ...]
-    delimiter: str = ","
-    missing_token: str = DEFAULT_MISSING_TOKEN
+    __slots__ = ("column_names", "delimiter", "missing_token")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "column_names", tuple(self.column_names))
-        if len(self.delimiter) != 1:
-            raise ConfigError(f"delimiter must be a single character, got {self.delimiter!r}")
-        if not self.column_names:
+    def __init__(
+        self,
+        column_names: Sequence[str],
+        delimiter: str = ",",
+        missing_token: str = DEFAULT_MISSING_TOKEN,
+    ) -> None:
+        names = tuple(column_names)
+        if len(delimiter) != 1:
+            raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
+        if not names:
             raise ConfigError("column_names must not be empty")
-        if any(not name for name in self.column_names):
-            raise ConfigError(f"column names must be non-empty, got {self.column_names}")
-        if len(set(self.column_names)) != len(self.column_names):
-            raise ConfigError(f"duplicate column names in {self.column_names}")
-        if not self.missing_token:
+        if any(not name for name in names):
+            raise ConfigError(f"column names must be non-empty, got {names}")
+        if len(set(names)) != len(names):
+            raise ConfigError(f"duplicate column names in {names}")
+        if not missing_token:
             raise ConfigError("missing_token must be non-empty")
+        self.column_names: tuple[str, ...] = names
+        self.delimiter = delimiter
+        self.missing_token = missing_token
 
     @property
     def column_count(self) -> int:
@@ -66,7 +70,6 @@ class FieldMapping:
             raise ConfigError(f"column {column!r} not in mapping {self.column_names}") from None
 
 
-@dataclass(frozen=True)
 class AnalysisSpec:
     """Which columns to analyse and the cut-offs that shape the result.
 
@@ -76,39 +79,44 @@ class AnalysisSpec:
     drops combinations whose total count is below it.
     """
 
-    categories: tuple[str, ...]
-    entity_field: str
-    p: int | tuple[int, ...] = 2
-    k: int = 5
-    min_support: int = 1
+    __slots__ = ("categories", "entity_field", "p", "k", "min_support")
 
-    def __post_init__(self) -> None:
-        cats = tuple(self.categories)
-        object.__setattr__(self, "categories", cats)
+    def __init__(
+        self,
+        categories: Sequence[str],
+        entity_field: str,
+        p: int | Sequence[int] = 2,
+        k: int = 5,
+        min_support: int = 1,
+    ) -> None:
+        cats = tuple(categories)
         if not cats:
             raise ConfigError("need at least one category")
         if any(not c for c in cats):
             raise ConfigError(f"category names must be non-empty, got {cats}")
         if len(set(cats)) != len(cats):
             raise ConfigError(f"duplicate categories in {cats}")
-        if not self.entity_field:
+        if not entity_field:
             raise ConfigError("entity_field must be non-empty")
-        if self.entity_field in cats:
-            raise ConfigError(f"entity_field {self.entity_field!r} must not be a category")
-        per_cat = self.p
-        if isinstance(per_cat, int):
-            per_cat = (per_cat,) * len(cats)
+        if entity_field in cats:
+            raise ConfigError(f"entity_field {entity_field!r} must not be a category")
+        if isinstance(p, int):
+            per_cat = (p,) * len(cats)
         else:
-            per_cat = tuple(int(x) for x in per_cat)
+            per_cat = tuple(int(x) for x in p)
         if len(per_cat) != len(cats):
             raise ConfigError(f"p has {len(per_cat)} entries for {len(cats)} categories")
         if any(x < 1 for x in per_cat):
             raise ConfigError(f"every p entry must be >= 1, got {per_cat}")
-        object.__setattr__(self, "p", per_cat)
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.min_support < 0:
-            raise ConfigError(f"min_support must be >= 0, got {self.min_support}")
+        if k < 1:
+            raise ConfigError(f"k must be >= 1, got {k}")
+        if min_support < 0:
+            raise ConfigError(f"min_support must be >= 0, got {min_support}")
+        self.categories: tuple[str, ...] = cats
+        self.entity_field = entity_field
+        self.p: tuple[int, ...] = per_cat
+        self.k = k
+        self.min_support = min_support
 
     def validate_mapping(self, mapping: FieldMapping) -> None:
         """Raise ConfigError unless every analysed column exists in the mapping."""
@@ -116,7 +124,6 @@ class AnalysisSpec:
             mapping.index_of(name)
 
 
-@dataclass
 class RunSettings:
     """Everything a run needs, merged from the config file and CLI flags.
 
@@ -124,15 +131,32 @@ class RunSettings:
     then resolved from the first line of the first input file.
     """
 
-    delimiter: str = ","
-    header: bool = True
-    columns: tuple[str, ...] | None = None
-    missing_token: str = DEFAULT_MISSING_TOKEN
-    categories: tuple[str, ...] | None = None
-    entity: str | None = None
-    p: int | tuple[int, ...] = 2
-    k: int = 5
-    min_support: int = 1
+    __slots__ = (
+        "delimiter", "header", "columns", "missing_token", "categories", "entity", "p", "k",
+        "min_support",
+    )
+
+    def __init__(
+        self,
+        delimiter: str = ",",
+        header: bool = True,
+        columns: tuple[str, ...] | None = None,
+        missing_token: str = DEFAULT_MISSING_TOKEN,
+        categories: tuple[str, ...] | None = None,
+        entity: str | None = None,
+        p: int | tuple[int, ...] = 2,
+        k: int = 5,
+        min_support: int = 1,
+    ) -> None:
+        self.delimiter = delimiter
+        self.header = header
+        self.columns = columns
+        self.missing_token = missing_token
+        self.categories = categories
+        self.entity = entity
+        self.p = p
+        self.k = k
+        self.min_support = min_support
 
     def analysis_spec(self) -> AnalysisSpec:
         if not self.categories or not self.entity:

@@ -18,12 +18,10 @@ import json
 import re
 from _blake2 import blake2s  # hashlib's own blake2s, without loading OpenSSL
 from csv import writer as csv_writer
-from dataclasses import dataclass
-from html import escape
 from json.encoder import encode_basestring as _json_string
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .baseline import BaselineSet
 from .ingest import ContingencyIndex
@@ -47,8 +45,12 @@ _AXIS_STROKE = "#9aa3ad"
 _TEXT_FILL = "#2f3640"
 
 
-@dataclass(frozen=True)
-class ChartData:
+def _escape_text(text: str) -> str:
+    """SVG text content, as ``html.escape(text, quote=False)`` writes it."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+class ChartData(NamedTuple):
     """One cohort ready to draw: ordered series plus the focal entity's spot.
 
     ``series`` lists (entity, count) by count descending, entity ascending;
@@ -68,8 +70,7 @@ class ChartData:
         return len(self.series)
 
 
-@dataclass(frozen=True)
-class ExplanationBundle:
+class ExplanationBundle(NamedTuple):
     """Everything needed to show why one entity's report looks the way it does.
 
     ``baseline_charts`` covers the baseline combinations where the entity
@@ -162,9 +163,9 @@ def render_chart(chart: ChartData) -> str:
         f'height="{_CHART_HEIGHT}" viewBox="0 0 {_CHART_WIDTH} {_CHART_HEIGHT}">',
         f'<rect width="{_CHART_WIDTH}" height="{_CHART_HEIGHT}" fill="#ffffff"/>',
         f'<text x="{_MARGIN_LEFT}" y="22" font-family="sans-serif" font-size="15" '
-        f'font-weight="bold" fill="{_TEXT_FILL}">{escape(title, quote=False)}</text>',
+        f'font-weight="bold" fill="{_TEXT_FILL}">{_escape_text(title)}</text>',
         f'<text x="{_MARGIN_LEFT}" y="42" font-family="sans-serif" font-size="13" '
-        f'fill="{_TEXT_FILL}">{escape(subtitle, quote=False)}</text>',
+        f'fill="{_TEXT_FILL}">{_escape_text(subtitle)}</text>',
     ]
 
     baseline_y = _MARGIN_TOP + plot_h
@@ -191,14 +192,14 @@ def render_chart(chart: ChartData) -> str:
         fill = _FOCAL_FILL if entity == chart.focal_entity else _BAR_FILL
         parts.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" height="{h:.2f}" '
-            f'fill="{fill}"><title>{escape(entity, quote=False)}: {count}</title></rect>'
+            f'fill="{fill}"><title>{_escape_text(entity)}: {count}</title></rect>'
         )
     if len(positions) < n:
         note = f"top {_BAR_BUDGET} of {n} entities shown"
         parts.append(
             f'<text x="{_MARGIN_LEFT + plot_w}" y="42" font-family="sans-serif" '
             f'font-size="11" fill="{_TEXT_FILL}" text-anchor="end">'
-            f'{escape(note, quote=False)}</text>'
+            f'{_escape_text(note)}</text>'
         )
 
     marker_x = _MARGIN_LEFT + (chart.focal_rank - 1 + 0.5) * slot
@@ -213,7 +214,7 @@ def render_chart(chart: ChartData) -> str:
     parts.append(
         f'<text x="{marker_x + dx:.2f}" y="{_MARGIN_TOP + 14}" font-family="sans-serif" '
         f'font-size="11" fill="{_MARKER_STROKE}" text-anchor="{anchor}">'
-        f'{escape(label, quote=False)}</text>'
+        f'{_escape_text(label)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts)
@@ -274,16 +275,30 @@ def _top_level_array(key: str, encoded: Iterable[str]) -> Iterator[str]:
     yield f'  "{key}": [],\n' if separator is opening else "\n  ],\n"
 
 
-def _json_chunks(ordered: Sequence[EntityAnomalyReport]) -> Iterator[str]:
-    """The JSON document in pieces: one per entity, then one per entity with no baseline."""
+def _json_chunks(ordered: Iterable[EntityAnomalyReport]) -> Iterator[str]:
+    """The JSON document in pieces, one per entity, reading ``ordered`` once.
+
+    Past its own piece, only the name of an entity with no baseline is kept,
+    for the closing ``no_baseline_presence`` array.
+    """
+    absent: list[str] = []
+
+    def entries() -> Iterator[str]:
+        for report in ordered:
+            if report.mrr is None:
+                absent.append(report.entity)
+            yield _report_json(report)
+
     yield "{\n"
-    yield from _top_level_array("entities", map(_report_json, ordered))
-    absent = (_json_string(report.entity) for report in ordered if report.mrr is None)
-    yield from _top_level_array("no_baseline_presence", absent)
+    yield from _top_level_array("entities", entries())
+    yield from _top_level_array("no_baseline_presence", map(_json_string, absent))
     yield f'  "schema_version": {SCHEMA_VERSION}\n}}\n'
 
 
-def _write_csv(ordered: Sequence[EntityAnomalyReport], handle: IO[str]) -> None:
+def _with_csv_rows(
+    ordered: Iterable[EntityAnomalyReport], handle: IO[str]
+) -> Iterator[EntityAnomalyReport]:
+    """``ordered`` passed through, writing the CSV view to ``handle`` as each report goes by."""
     rows = csv_writer(handle, lineterminator="\n")
     rows.writerow(
         ["entity", "mrr", "expected_rank", "combination", "distance", "rr", "rank",
@@ -302,15 +317,7 @@ def _write_csv(ordered: Sequence[EntityAnomalyReport], handle: IO[str]) -> None:
                 item.cohort_size,
                 item.count,
             ])
-
-
-def _write(ordered: Sequence[EntityAnomalyReport], handle: IO[str], format: str) -> None:
-    if format == "json":
-        handle.writelines(_json_chunks(ordered))
-    elif format == "csv":
-        _write_csv(ordered, handle)
-    else:
-        raise ValueError(f"unknown report format {format!r}")
+        yield report
 
 
 def emit_report(reports: Sequence[EntityAnomalyReport], format: str = "json") -> str:
@@ -325,24 +332,33 @@ def emit_report(reports: Sequence[EntityAnomalyReport], format: str = "json") ->
     has one row per item (entities without items do not appear) with floats
     at six significant digits, and joins combination values with ``|``.
     """
+    ordered = sorted(reports, key=_ENTITY)
     buffer = io.StringIO()
-    _write(sorted(reports, key=_ENTITY), buffer, format)
+    if format == "json":
+        buffer.writelines(_json_chunks(ordered))
+    elif format == "csv":
+        for _report in _with_csv_rows(ordered, buffer):
+            pass
+    else:
+        raise ValueError(f"unknown report format {format!r}")
     return buffer.getvalue()
 
 
-def write_report(
-    reports: Sequence[EntityAnomalyReport], path: str | Path, format: str = "json"
-) -> Path:
-    """Write ``emit_report(reports, format)`` to ``path`` without holding the text.
+def write_reports(
+    ordered: Iterable[EntityAnomalyReport], json_path: Path, csv_path: Path | None = None
+) -> None:
+    """Write reports in entity order to ``json_path`` and, given ``csv_path``, the CSV view.
 
-    The JSON document goes to the file one entity at a time and the CSV view
-    one row at a time, so memory stays at the reports themselves.
+    Each file holds what ``emit_report`` gives for its format, written from
+    one pass over ``ordered``, so a ranking generator streams straight to
+    disk and only the report at hand is held.
     """
-    ordered = sorted(reports, key=_ENTITY)
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        _write(ordered, handle, format)
-    return path
+    with open(json_path, "w", encoding="utf-8") as handle:
+        if csv_path is None:
+            handle.writelines(_json_chunks(ordered))
+            return
+        with open(csv_path, "w", encoding="utf-8") as csv_handle:
+            handle.writelines(_json_chunks(_with_csv_rows(ordered, csv_handle)))
 
 
 # --- file layout ---------------------------------------------------------------

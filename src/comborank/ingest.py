@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import gzip
 import zlib
-from dataclasses import dataclass, field
 from itertools import chain
 from math import inf
 from os import cpu_count
 from pathlib import Path
 from sys import intern
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import AnalysisSpec, ConfigError, FieldMapping
 
@@ -51,8 +50,7 @@ class SchemaMismatch(ValueError):
     """Merging aggregates that were built under different specifications."""
 
 
-@dataclass
-class CategoryMarginals:
+class CategoryMarginals(NamedTuple):
     """Per-category value counts over the accepted records.
 
     ``counts`` maps category name to ``{value: occurrences}``; keys follow
@@ -62,20 +60,37 @@ class CategoryMarginals:
     counts: dict[str, dict[str, int]]
 
 
-@dataclass
 class ContingencyIndex:
     """Counts of (combination, entity) pairs plus stream bookkeeping.
 
     ``cells`` maps each observed category-value combination to the entities
     seen with it and how often.  Every stored count is at least one, and the
     cell counts of an index built from a stream sum to ``total_records``.
+    Two indexes are equal when all five fields are.
     """
 
-    categories: tuple[str, ...]
-    entity_field: str
-    cells: dict[tuple[str, ...], dict[str, int]] = field(default_factory=dict)
-    total_records: int = 0
-    rejected_records: int = 0
+    __slots__ = ("categories", "entity_field", "cells", "total_records", "rejected_records")
+
+    def __init__(
+        self,
+        categories: tuple[str, ...],
+        entity_field: str,
+        cells: Cells | None = None,
+        total_records: int = 0,
+        rejected_records: int = 0,
+    ) -> None:
+        self.categories = categories
+        self.entity_field = entity_field
+        self.cells: Cells = {} if cells is None else cells
+        self.total_records = total_records
+        self.rejected_records = rejected_records
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ContingencyIndex):
+            return NotImplemented
+        return (self.schema(), self.cells, self.total_records, self.rejected_records) == (
+            other.schema(), other.cells, other.total_records, other.rejected_records
+        )
 
     def schema(self) -> tuple[tuple[str, ...], str]:
         return (self.categories, self.entity_field)

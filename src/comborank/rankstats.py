@@ -16,7 +16,8 @@ how far the entity sits from where its baseline behaviour says it should.
 
 One pass scores and orders the candidates: ``_best_candidates`` ranks each
 scored cohort once and keeps each entity's best k candidates in a heap.
-``recommend.recommend_all`` runs it with the analysis's k.  The full-table
+``recommend.rank_reports`` runs it with the analysis's k and yields the
+reports one by one; ``recommend.recommend_all`` lists them.  The full-table
 names are views of the same pass: ``baseline_stats`` gives the reports'
 baseline summaries without items, ``compute_distances`` runs the pass with
 k at the number of scored cohorts so that every candidate is kept, and
@@ -30,7 +31,6 @@ was chunked or how many workers built the index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from math import fsum
 from operator import itemgetter
@@ -40,8 +40,7 @@ from .baseline import BaselineSet
 from .ingest import ContingencyIndex
 
 
-@dataclass(frozen=True)
-class RankOrdering:
+class RankOrdering(NamedTuple):
     """A combination's cohort ordered by count descending, entity ascending.
 
     ``entries`` holds (entity, count, rank) triples; ``ranks`` indexes the
@@ -166,12 +165,18 @@ def baseline_stats(index: ContingencyIndex, baseline: BaselineSet) -> dict[str, 
     return stats
 
 
-@dataclass
 class DistanceTable:
     """Every scored pair, by entity then combination in report order, plus the stats behind them."""
 
-    by_entity: dict[str, dict[tuple[str, ...], AnomalyItem]]
-    entity_stats: dict[str, EntityAnomalyReport]
+    __slots__ = ("by_entity", "entity_stats")
+
+    def __init__(
+        self,
+        by_entity: dict[str, dict[tuple[str, ...], AnomalyItem]],
+        entity_stats: dict[str, EntityAnomalyReport],
+    ) -> None:
+        self.by_entity = by_entity
+        self.entity_stats = entity_stats
 
     def __len__(self) -> int:
         return sum(len(per_combo) for per_combo in self.by_entity.values())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import islice
+from typing import Iterator
 
 from .baseline import BaselineSet
 from .config import AnalysisSpec
@@ -17,6 +18,7 @@ from .rankstats import (
     _scored_cohorts,
     mrr_from_ranks,
 )
+
 
 def top_k(entity: str, table: DistanceTable, k: int) -> EntityAnomalyReport:
     """The entity's k highest-distance combinations, ties broken by combination.
@@ -36,31 +38,41 @@ def top_k(entity: str, table: DistanceTable, k: int) -> EntityAnomalyReport:
     return stats._replace(items=tuple(islice(candidates.values(), k)))
 
 
+def rank_reports(
+    index: ContingencyIndex,
+    baseline: BaselineSet,
+    spec: AnalysisSpec,
+) -> Iterator[EntityAnomalyReport]:
+    """One report per observed entity, yielded in entity order: the one ranking pass.
+
+    The pass keeps each entity's best ``spec.k`` candidates, so the reports
+    hold what ``top_k`` of the full table would, and items are built only for
+    the survivors.  Each entity's heap is popped as its report is yielded, so
+    a consumer that writes reports as they come holds the index, the heaps
+    not yet reported and one report.  An entity absent from every baseline
+    cell gets an empty report.
+    """
+    if index.total_records == 0:
+        raise ValueError("empty index: no accepted records to analyse")
+    # Sorted first, so the set of names is freed before the heaps are built.
+    entities = sorted(index.entities())
+    ranks = _baseline_ranks(index, baseline)
+    mrrs = {entity: mrr_from_ranks(entity_ranks) for entity, entity_ranks in ranks.items()}
+    cohorts = _scored_cohorts(index, baseline, spec.min_support)
+    best = _best_candidates(cohorts, mrrs, spec.k)
+    for entity in entities:
+        mrr = mrrs.get(entity)
+        if mrr is None:
+            yield EntityAnomalyReport(entity, None, None, 0, ())
+            continue
+        items = _items(best.pop(entity, []), cohorts)
+        yield EntityAnomalyReport(entity, mrr, 1.0 / mrr, len(ranks[entity]), items)
+
+
 def recommend_all(
     index: ContingencyIndex,
     baseline: BaselineSet,
     spec: AnalysisSpec,
 ) -> list[EntityAnomalyReport]:
-    """One report per observed entity, sorted by entity for stable output.
-
-    The ranking pass keeps each entity's best ``spec.k`` candidates, so the
-    reports hold what ``top_k`` of the full table would, and items are built
-    only for the survivors.  An entity absent from every baseline cell gets
-    an empty report.
-    """
-    if index.total_records == 0:
-        raise ValueError("empty index: no accepted records to analyse")
-    ranks = _baseline_ranks(index, baseline)
-    mrrs = {entity: mrr_from_ranks(entity_ranks) for entity, entity_ranks in ranks.items()}
-    cohorts = _scored_cohorts(index, baseline, spec.min_support)
-    best = _best_candidates(cohorts, mrrs, spec.k)
-    reports = []
-    for entity in sorted(index.entities()):
-        mrr = mrrs.get(entity)
-        if mrr is None:
-            reports.append(EntityAnomalyReport(entity, None, None, 0, ()))
-            continue
-        # Popped, so each heap is freed as its items are built.
-        items = _items(best.pop(entity, []), cohorts)
-        reports.append(EntityAnomalyReport(entity, mrr, 1.0 / mrr, len(ranks[entity]), items))
-    return reports
+    """Every report of ``rank_reports``, sorted by entity for stable output."""
+    return list(rank_reports(index, baseline, spec))

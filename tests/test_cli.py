@@ -1,15 +1,24 @@
+import gc
 import gzip
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import comborank
 
-from comborank import emit_report
+from comborank import (
+    emit_report,
+    generate_baseline,
+    ingest_paths,
+    recommend_all,
+    resolve_mapping,
+)
+from comborank import cli as cli_module
 from comborank import ingest as ingest_module
 from comborank.cli import (
     EXIT_INPUT,
@@ -17,6 +26,7 @@ from comborank.cli import (
     EXIT_USAGE,
     RunConfig,
     bench_csv,
+    discover,
     main,
     run_bench,
     run_pipeline,
@@ -139,11 +149,14 @@ class TestCommands:
         assert any(p.suffix == ".svg" for p in explanations[0].iterdir())
 
     def test_explain_unknown_entity(self, sample_log, analysis_conf, tmp_path):
+        out_dir = tmp_path / "out"
         rc = main([
             "explain", "nobody_here", "--config", str(analysis_conf),
-            "--input", str(sample_log), "--out", str(tmp_path / "out"),
+            "--input", str(sample_log), "--out", str(out_dir),
         ])
         assert rc == EXIT_INPUT
+        for name in ("reports.json", "baseline.json", "explanations"):
+            assert not (out_dir / name).exists(), name
 
     def test_synth_then_recommend(self, tmp_path):
         gen_conf = tmp_path / "gen.json"
@@ -199,6 +212,24 @@ class TestCommands:
         assert "\ufeff" not in documents[1]
         assert documents[1] == documents[0]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_recommend_writes_emitted_reports(self, sample_log, tmp_path, monkeypatch, threads):
+        """Reports streamed to both files are the bytes ``emit_report`` gives for the run."""
+        monkeypatch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 256)
+        spec = AnalysisSpec(("cat1", "cat2", "cat3", "cat4"), "entity", k=3)
+        marginals, index = ingest_paths([sample_log], spec, resolve_mapping(sample_log))
+        reports = recommend_all(index, generate_baseline(marginals, spec), spec)
+        out_dir = tmp_path / "out"
+        rc = main([
+            "recommend", "--input", str(sample_log), "--out", str(out_dir),
+            "--categories", "cat1,cat2,cat3,cat4", "--entity", "entity", "--k", "3",
+            "--format", "csv", "--threads", str(threads),
+        ])
+        assert rc == EXIT_OK
+        for format in ("json", "csv"):
+            expected = emit_report(reports, format).encode("utf-8")
+            assert (out_dir / f"reports.{format}").read_bytes() == expected, format
+
     def test_gzip_input(self, sample_log, tmp_path):
         gz_path = tmp_path / "log.csv.gz"
         gz_path.write_bytes(gzip.compress(sample_log.read_bytes()))
@@ -207,6 +238,48 @@ class TestCommands:
             "--categories", "cat1,cat2", "--entity", "entity",
         ])
         assert rc == EXIT_OK
+
+
+class TestStreamedReports:
+    """Ranking streams into the report files: memory is the index, the heaps and one report."""
+
+    def test_rank_and_write_peak_stays_below_the_report_list(self, tmp_path, monkeypatch):
+        # 20,000 entities seen once each outside the baseline, so they have
+        # no MRR, and 50 with a baseline: reports the list would hold, but
+        # the heaps do not.
+        log = tmp_path / "log.csv"
+        with open(log, "w", encoding="utf-8") as handle:
+            handle.write("c1,c2,entity\n")
+            for i in range(6000):
+                handle.write(f"a,x,base{i % 50}\n")
+            for i in range(500):
+                handle.write(f"b{i % 3},y{i % 2},base{i % 50}\n")
+            for i in range(20_000):
+                handle.write(f"b{i % 10},y{i % 5},lone{i}\n")
+        settings = RunSettings(categories=("c1", "c2"), entity="entity", p=1)
+        tracemalloc.start()
+        try:
+            found = discover(RunConfig((log,), tmp_path, settings))
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            reports = recommend_all(found.index, found.baseline, found.spec)
+            listed = tracemalloc.get_traced_memory()[0] - before
+            assert sum(report.mrr is None for report in reports) == 20_000
+            del reports
+            gc.collect()
+            # The command ranks and writes what was found above the index.
+            monkeypatch.setattr(cli_module, "discover", lambda config: found)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rc = main([
+                "recommend", "--input", str(log), "--out", str(tmp_path / "out"),
+                "--categories", "c1,c2", "--entity", "entity", "--p", "1",
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_OK
+        assert peak - base < listed, (peak - base, listed)
 
 
 class TestExitCodes:
@@ -367,8 +440,14 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_import_loads_only_analysis_modules():
-    """Start-up pays for no module that only synth, bench, fan-out or chart file names use."""
-    heavy = ("numpy", "multiprocessing", "urllib.request", "xml.sax", "hashlib", "_hashlib")
+    """Start-up pays for no module that only synth, bench, fan-out or chart text use.
+
+    Nor for ``dataclasses`` and the ``inspect`` it loads, which no class needs.
+    """
+    heavy = (
+        "numpy", "multiprocessing", "urllib.request", "xml.sax", "hashlib", "_hashlib",
+        "dataclasses", "inspect", "html",
+    )
     code = f"import sys, comborank.cli; print([m for m in {heavy!r} if m in sys.modules])"
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import hashlib
+import html
 import json
 import re
 import tempfile
@@ -20,7 +21,7 @@ from comborank import (
     render_chart,
     write_explanation,
 )
-from comborank.explain import _slug, combination_slug, write_report
+from comborank.explain import _escape_text, _slug, combination_slug, write_reports
 from comborank.ingest import ingest_lines
 
 from fixture_logs import ENTITY_A, rank_profile_log
@@ -180,6 +181,13 @@ class TestRenderChart:
         assert root.tag == f"{_SVG_NS}svg"
         assert "<evil>" not in svg
 
+    @given(st.text(st.one_of(st.sampled_from("&<>\"'"), st.characters())))
+    @example("&<>\"'")
+    @example("&amp; <b>caf\u00e9</b> \u2028\U0001f600 'x' \"y\"")
+    def test_text_escaper_matches_html_escape(self, text):
+        """Chart text is escaped as ``html.escape(text, quote=False)`` escapes it."""
+        assert _escape_text(text) == html.escape(text, quote=False)
+
 
 class TestReportDocuments:
     def test_json_round_trip_is_exact(self):
@@ -240,7 +248,8 @@ class TestReportDocuments:
         text = emit_report(reports, "json")
         assert text == _reference_json(reports)
         with tempfile.TemporaryDirectory() as tmp:
-            path = write_report(reports, Path(tmp) / "reports.json")
+            path = Path(tmp) / "reports.json"
+            write_reports(sorted(reports, key=lambda r: r.entity), path)
             assert path.read_bytes() == text.encode("utf-8")
 
     def test_csv_flattens_items(self):
