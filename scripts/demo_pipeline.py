@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from comborank import RunSettings, explain, write_explanation
-from comborank.cli import RunConfig, run_pipeline, write_artifacts
+from comborank.cli import RunConfig, run_pipeline
 from comborank.synthgen import generate_log, planted_config
 
 
@@ -39,15 +39,14 @@ def main(argv: list[str] | None = None) -> int:
         k=5,
         min_support=10,
     )
-    result = run_pipeline(RunConfig((log,), args.out, settings))
-    written = write_artifacts(result, args.out, "csv")
-    for path in written:
+    planted = [plant.entity for plant in manifest.planted]
+    result = run_pipeline(RunConfig((log,), args.out, settings, report_format="csv"), planted)
+    for path in result.written:
         print(f"wrote {path}")
 
-    by_entity = {report.entity: report for report in result.reports}
     hit = 0
     for plant in manifest.planted:
-        report = by_entity[plant.entity]
+        report = result.kept[plant.entity]
         listed = [item.combination for item in report.items]
         position = listed.index(plant.combination) + 1 if plant.combination in listed else None
         hit += position is not None

@@ -28,7 +28,7 @@ from .config import (
 )
 from .explain import explain, write_explanation, write_reports
 from .ingest import ContingencyIndex, SchemaMismatch, ingest_paths, resolve_mapping
-from .recommend import EntityAnomalyReport, rank_reports, recommend_all
+from .recommend import EntityAnomalyReport, rank_reports
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,23 +81,25 @@ class BenchResult(NamedTuple):
 
 
 class PipelineResult:
-    """What a run has computed; ``run_pipeline`` fills ``reports``, ``discover`` leaves it empty."""
+    """What a run has computed and written; ``discover`` leaves the last three empty.
 
-    __slots__ = ("spec", "index", "baseline", "times", "reports")
+    ``written`` lists the files ``run_pipeline`` wrote, ``count`` is the
+    number of reports in them and ``kept`` maps each entity it was asked to
+    keep to its report.
+    """
+
+    __slots__ = ("spec", "index", "baseline", "times", "written", "count", "kept")
 
     def __init__(
-        self,
-        spec: AnalysisSpec,
-        index: ContingencyIndex,
-        baseline: BaselineSet,
-        times: StageTimes,
-        reports: list[EntityAnomalyReport] | None = None,
+        self, spec: AnalysisSpec, index: ContingencyIndex, baseline: BaselineSet, times: StageTimes
     ) -> None:
         self.spec = spec
         self.index = index
         self.baseline = baseline
         self.times = times
-        self.reports = [] if reports is None else reports
+        self.written: list[Path] = []
+        self.count = 0
+        self.kept: dict[str, EntityAnomalyReport] = {}
 
 
 def _resolve_inputs(paths: Sequence[str | Path]) -> tuple[Path, ...]:
@@ -140,15 +142,6 @@ def discover(config: RunConfig) -> PipelineResult:
     return PipelineResult(spec, index, baseline, times)
 
 
-def run_pipeline(config: RunConfig) -> PipelineResult:
-    """Discover, then rank and report; raises InputError on bad input."""
-    result = discover(config)
-    started = time.perf_counter()
-    result.reports = recommend_all(result.index, result.baseline, result.spec)
-    result.times.rank_s = time.perf_counter() - started
-    return result
-
-
 def _write_baseline(baseline: BaselineSet, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "baseline.json"
@@ -159,57 +152,44 @@ def _write_baseline(baseline: BaselineSet, out_dir: Path) -> Path:
     return path
 
 
-def write_artifacts(
-    result: PipelineResult,
-    out_dir: Path,
-    report_format: str,
-    reports: Iterable[EntityAnomalyReport] | None = None,
-) -> list[Path]:
-    """Write baseline.json and reports; reports.json is always the canonical one.
+def _counted(
+    result: PipelineResult, reports: Iterable[EntityAnomalyReport], wanted: frozenset[str]
+) -> Iterator[EntityAnomalyReport]:
+    """Pass ``reports`` on, counting them into ``result`` and keeping the ``wanted`` ones."""
+    for report in reports:
+        result.count += 1
+        if report.entity in wanted:
+            result.kept[report.entity] = report
+        yield report
 
-    ``reports`` defaults to ``result.reports``.  Either way they come in
-    entity order and are read once, so a ranking generator streams straight
-    into the files.
+
+def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
+    """Discover, then rank straight into the artifacts; raises InputError on bad input.
+
+    Writes baseline.json, reports.json and, for the csv format, reports.csv
+    in ``config.out_dir``.  Reports stream from the ranking pass to disk in
+    entity order, so only one is held at a time, plus those of the entities
+    in ``keep``.  Each of those must occur in the input; that is checked
+    before anything is written.  ``rank_s`` covers ranking and writing,
+    which interleave.
     """
-    written = [_write_baseline(result.baseline, out_dir), out_dir / "reports.json"]
-    if report_format == "csv":
-        written.append(out_dir / "reports.csv")
-    write_reports(result.reports if reports is None else reports, *written[1:])
-    return written
-
-
-class _Tally:
-    """Reports on their way to disk: counts them and keeps the one for ``entity``."""
-
-    def __init__(self, reports: Iterable[EntityAnomalyReport], entity: str | None = None):
-        self.reports = reports
-        self.entity = entity
-        self.count = 0
-        self.kept: EntityAnomalyReport | None = None
-
-    def __iter__(self) -> Iterator[EntityAnomalyReport]:
-        for report in self.reports:
-            self.count += 1
-            if report.entity == self.entity:
-                self.kept = report
-            yield report
-
-
-def _rank_into_artifacts(
-    result: PipelineResult, config: RunConfig, entity: str | None = None
-) -> tuple[list[Path], _Tally]:
-    """Rank straight into the artifacts, holding one report at a time.
-
-    ``rank_s`` covers ranking and writing the artifacts, which interleave.
-    """
+    wanted = frozenset(keep)
+    result = discover(config)
+    for entity in sorted(wanted):
+        if not result.index.observes(entity):
+            raise InputError(f"entity {entity!r} not observed in the input")
     started = time.perf_counter()
-    tally = _Tally(rank_reports(result.index, result.baseline, result.spec), entity)
-    written = write_artifacts(result, config.out_dir, config.report_format, tally)
+    out_dir = config.out_dir
+    result.written = [_write_baseline(result.baseline, out_dir), out_dir / "reports.json"]
+    if config.report_format == "csv":
+        result.written.append(out_dir / "reports.csv")
+    reports = rank_reports(result.index, result.baseline, result.spec)
+    write_reports(_counted(result, reports, wanted), *result.written[1:])
     result.times.rank_s = time.perf_counter() - started
-    return written, tally
+    return result
 
 
-def _print_summary(result: PipelineResult, threads: int, reports: int) -> None:
+def _print_summary(result: PipelineResult, threads: int) -> None:
     times = result.times
     index = result.index
     rate = index.total_records / times.total_s if times.total_s > 0 else 0.0
@@ -218,8 +198,10 @@ def _print_summary(result: PipelineResult, threads: int, reports: int) -> None:
         f"in {times.ingest_s:.2f}s [{threads} worker(s)]"
     )
     print(f"baseline: {result.baseline.size} expected combinations in {times.baseline_s:.2f}s")
-    print(f"rank: {reports} entity reports in {times.rank_s:.2f}s")
+    print(f"rank: {result.count} entity reports in {times.rank_s:.2f}s")
     print(f"discovery time: {times.total_s:.2f}s ({rate:,.0f} entries/s)")
+    for path in result.written:
+        print(f"wrote {path}")
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -264,26 +246,16 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 def cmd_recommend(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    result = discover(config)
-    written, tally = _rank_into_artifacts(result, config)
-    _print_summary(result, config.threads, tally.count)
-    for path in written:
-        print(f"wrote {path}")
+    _print_summary(run_pipeline(config), config.threads)
     return EXIT_OK
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    result = discover(config)
-    # Checked before anything is written: the entity's report streams by late.
-    if not any(args.entity in cell for cell in result.index.cells.values()):
-        raise InputError(f"entity {args.entity!r} not observed in the input")
-    written, tally = _rank_into_artifacts(result, config, args.entity)
-    bundle = explain(args.entity, tally.kept, result.index, result.baseline)
+    result = run_pipeline(config, (args.entity,))
+    bundle = explain(args.entity, result.kept[args.entity], result.index, result.baseline)
     target = write_explanation(bundle, config.out_dir / "explanations")
-    _print_summary(result, config.threads, tally.count)
-    for path in written:
-        print(f"wrote {path}")
+    _print_summary(result, config.threads)
     print(
         f"wrote {target} ({len(bundle.baseline_charts)} baseline charts, "
         f"{len(bundle.anomaly_charts)} anomaly charts)"
@@ -327,8 +299,9 @@ def run_bench(
 ) -> list[BenchResult]:
     """Generate one log per size and time the pipeline per thread count.
 
-    Logs are deleted after timing; bench.csv keeps the measurements.  The
-    reported time covers the three analysis stages, not artifact writing.
+    Logs are deleted after timing; bench.csv keeps the measurements.  Each
+    run writes its baseline.json and reports.json into ``out_dir``, so the
+    last run's stay there, and ``rank_s`` includes writing the reports.
     """
     from .synthgen import bench_config, generate_log
 

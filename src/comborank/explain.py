@@ -113,7 +113,7 @@ def explain(
         if not cell or entity not in cell:
             continue
         baseline_charts.append(_chart_for(index, combo, entity, None))
-    if not baseline_charts and not report.items and entity not in index.entities():
+    if not baseline_charts and not report.items and not index.observes(entity):
         raise KeyError(f"entity {entity!r} not observed in the index")
     anomaly_charts = tuple(
         _chart_for(index, item.combination, entity, item.distance) for item in report.items

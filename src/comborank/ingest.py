@@ -101,6 +101,10 @@ class ContingencyIndex:
             seen.update(cell)
         return seen
 
+    def observes(self, entity: str) -> bool:
+        """Whether ``entity`` occurs in some cell, found without building ``entities()``."""
+        return any(entity in cell for cell in self.cells.values())
+
 
 def _add_cells(into: Cells, other: Cells) -> None:
     """Add ``other``'s counts into ``into`` cell by cell, leaving ``other`` unshared.

@@ -24,13 +24,13 @@ from comborank.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_USAGE,
+    InputError,
     RunConfig,
     bench_csv,
     discover,
     main,
     run_bench,
     run_pipeline,
-    write_artifacts,
 )
 from comborank.config import AnalysisSpec, RunSettings
 from comborank.synthgen import config_to_json, generate_log, oracle_recommend, synthetic_config
@@ -66,16 +66,38 @@ class TestRunPipeline:
                 result = run_pipeline(RunConfig((sample_log,), tmp_path, settings, threads=1))
                 spec = AnalysisSpec(categories, "entity", k=k, min_support=min_support)
                 expected = oracle_recommend(sample_log, spec)
-                assert emit_report(result.reports) == emit_report(expected), (k, min_support)
+                written = (tmp_path / "reports.json").read_bytes()
+                assert written == emit_report(expected).encode("utf-8"), (k, min_support)
                 assert result.times.total_s > 0
 
     def test_written_reports_equal_emitted_text(self, sample_log, tmp_path):
         settings = RunSettings(categories=("cat1", "cat2", "cat3", "cat4"), entity="entity", k=4)
-        result = run_pipeline(RunConfig((sample_log,), tmp_path, settings))
-        written = write_artifacts(result, tmp_path, "csv")
-        assert [path.name for path in written] == ["baseline.json", "reports.json", "reports.csv"]
-        for path, format in zip(written[1:], ("json", "csv")):
-            assert path.read_bytes() == emit_report(result.reports, format).encode("utf-8")
+        result = run_pipeline(RunConfig((sample_log,), tmp_path, settings, report_format="csv"))
+        assert [path.name for path in result.written] == [
+            "baseline.json", "reports.json", "reports.csv"
+        ]
+        reports = recommend_all(result.index, result.baseline, result.spec)
+        for path, format in zip(result.written[1:], ("json", "csv")):
+            assert path.read_bytes() == emit_report(reports, format).encode("utf-8")
+
+    def test_keeps_only_the_requested_reports(self, sample_log, tmp_path):
+        settings = RunSettings(categories=("cat1", "cat2", "cat3", "cat4"), entity="entity", k=4)
+        found = discover(RunConfig((sample_log,), tmp_path, settings))
+        reports = recommend_all(found.index, found.baseline, found.spec)
+        wanted = [reports[0].entity, reports[len(reports) // 2].entity, reports[-1].entity]
+        result = run_pipeline(RunConfig((sample_log,), tmp_path, settings), wanted)
+        assert result.kept == {r.entity: r for r in reports if r.entity in wanted}
+        assert result.count == len(result.index.entities()) == len(reports)
+
+    def test_unobserved_kept_entity_raises_before_writing(self, sample_log, tmp_path):
+        settings = RunSettings(categories=("cat1", "cat2", "cat3", "cat4"), entity="entity")
+        found = discover(RunConfig((sample_log,), tmp_path, settings))
+        observed = min(found.index.entities())
+        out_dir = tmp_path / "out"
+        with pytest.raises(InputError, match="nobody_here"):
+            run_pipeline(RunConfig((sample_log,), out_dir, settings), [observed, "nobody_here"])
+        for name in ("baseline.json", "reports.json"):
+            assert not (out_dir / name).exists(), name
 
     def test_missing_input(self, tmp_path):
         settings = RunSettings(categories=("a",), entity="e")
@@ -406,7 +428,7 @@ class TestBench:
         assert lines[0].startswith("entries,threads,ingest_s")
         assert len(lines) == 3
         assert lines[1].endswith(",1.00")  # single-thread speedup is 1 by definition
-        # generated logs are cleaned up, only measurements remain
+        # generated logs are cleaned up; the last run's reports stay in --out
         assert not list(tmp_path.glob("bench_*.csv"))
 
     def test_bench_command(self, tmp_path):
@@ -489,8 +511,19 @@ def test_public_api_is_pinned():
 
 
 def test_demo_recovers_its_plants(tmp_path):
+    """The demo runs the one pipeline driver: its reports are what ``recommend`` writes."""
     demo = _SRC.parent / "scripts" / "demo_pipeline.py"
-    proc = _run_python(str(demo), "--entries", "20000", "--out", str(tmp_path))
+    demo_out = tmp_path / "demo"
+    proc = _run_python(str(demo), "--entries", "20000", "--out", str(demo_out))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "recovered 2 of 2" in proc.stdout
-    assert (tmp_path / "reports.csv").is_file()
+    assert (demo_out / "reports.csv").is_file()
+    out_dir = tmp_path / "recommend"
+    rc = main([
+        "recommend", "--input", str(demo_out / "synthetic_log.csv"), "--out", str(out_dir),
+        "--categories", "cat1,cat2,cat3,cat4", "--entity", "entity",
+        "--p", "2", "--k", "5", "--min-support", "10", "--format", "csv",
+    ])
+    assert rc == EXIT_OK
+    for name in ("reports.json", "reports.csv"):
+        assert (demo_out / name).read_bytes() == (out_dir / name).read_bytes(), name
