@@ -6,6 +6,8 @@ every entity inside each combination's cohort, and reports the combinations
 where an entity sits furthest from its own baseline behaviour.
 """
 
+from importlib import import_module
+
 from .baseline import (
     BaselineSet,
     EmptyCategoryError,
@@ -18,13 +20,6 @@ from .config import (
     FieldMapping,
     RunSettings,
     settings_from_file,
-)
-from .explain import (
-    ChartData,
-    emit_report,
-    explain,
-    render_chart,
-    write_explanation,
 )
 from .ingest import (
     CategoryMarginals,
@@ -42,8 +37,23 @@ from .rankstats import (
     rank_ordering,
 )
 from .recommend import AnomalyItem, EntityAnomalyReport, recommend_all, top_k
+from .reports import emit_report
 
 __version__ = "0.1.0"
+
+# The chart names load the chart module on first use, so a run that draws no
+# chart never compiles it (PEP 562).
+_CHART_NAMES = ("ChartData", "explain", "render_chart", "write_explanation")
+
+
+def __getattr__(name: str):
+    if name not in _CHART_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    charts = import_module(".explain", __name__)
+    # Loading the module bound its name here; the function takes it back.
+    globals().update({chart_name: getattr(charts, chart_name) for chart_name in _CHART_NAMES})
+    return globals()[name]
+
 
 __all__ = [
     "AnalysisSpec",

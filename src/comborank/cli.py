@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import zlib
+from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .baseline import BaselineSet, baseline_as_dict, generate_baseline
 from .config import (
@@ -26,9 +28,9 @@ from .config import (
     parse_p,
     settings_from_file,
 )
-from .explain import explain, write_explanation, write_reports
 from .ingest import ContingencyIndex, SchemaMismatch, ingest_paths, resolve_mapping
-from .recommend import EntityAnomalyReport, rank_reports
+from .recommend import EntityAnomalyReport, Ranking
+from .reports import write_ranking
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,49 +144,59 @@ def discover(config: RunConfig) -> PipelineResult:
     return PipelineResult(spec, index, baseline, times)
 
 
-def _write_baseline(baseline: BaselineSet, out_dir: Path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "baseline.json"
+def _write_baseline(baseline: BaselineSet, path: Path) -> None:
     path.write_text(
         json.dumps(baseline_as_dict(baseline), sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
-    return path
-
-
-def _counted(
-    result: PipelineResult, reports: Iterable[EntityAnomalyReport], wanted: frozenset[str]
-) -> Iterator[EntityAnomalyReport]:
-    """Pass ``reports`` on, counting them into ``result`` and keeping the ``wanted`` ones."""
-    for report in reports:
-        result.count += 1
-        if report.entity in wanted:
-            result.kept[report.entity] = report
-        yield report
 
 
 def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
     """Discover, then rank straight into the artifacts; raises InputError on bad input.
 
     Writes baseline.json, reports.json and, for the csv format, reports.csv
-    in ``config.out_dir``.  Reports stream from the ranking pass to disk in
-    entity order, so only one is held at a time, plus those of the entities
-    in ``keep``.  Each of those must occur in the input; that is checked
-    before anything is written.  ``rank_s`` covers ranking and writing,
-    which interleave.
+    in ``config.out_dir``, and removes a reports.csv that an earlier run
+    left there otherwise.  The report files are written from the ranking
+    pass in entity order, a batch of entities at a time; report objects are
+    built only for the entities in ``keep``.  Each of those must occur in
+    the input; that is checked before anything is written.
+
+    The files are all or nothing: each is written under a temporary name in
+    ``config.out_dir`` and renamed into place after the last report, and on
+    any exception, ``KeyboardInterrupt`` included, the temporaries are
+    removed and the earlier run's files stay as they were.  ``rank_s``
+    covers ranking and writing.
     """
-    wanted = frozenset(keep)
+    wanted = sorted(set(keep))
     result = discover(config)
-    for entity in sorted(wanted):
+    for entity in wanted:
         if not result.index.observes(entity):
             raise InputError(f"entity {entity!r} not observed in the input")
     started = time.perf_counter()
     out_dir = config.out_dir
-    result.written = [_write_baseline(result.baseline, out_dir), out_dir / "reports.json"]
-    if config.report_format == "csv":
-        result.written.append(out_dir / "reports.csv")
-    reports = rank_reports(result.index, result.baseline, result.spec)
-    write_reports(_counted(result, reports, wanted), *result.written[1:])
+    csv = config.report_format == "csv"
+    names = ("baseline.json", "reports.json", "reports.csv")[: 3 if csv else 2]
+    result.written = [out_dir / name for name in names]
+    staged = [out_dir / f".{name}.{os.getpid()}.tmp" for name in names]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        _write_baseline(result.baseline, staged[0])
+        ranking = Ranking(result.index, result.baseline, result.spec)
+        result.count = len(ranking.entities)
+        result.kept = {entity: ranking.report(entity) for entity in wanted}
+        with ExitStack() as stack:
+            handles = [
+                stack.enter_context(open(path, "w", encoding="utf-8")) for path in staged[1:]
+            ]
+            write_ranking(ranking, *handles)
+        for temporary, path in zip(staged, result.written):
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary in staged:
+            temporary.unlink(missing_ok=True)
+        raise
+    if not csv:
+        (out_dir / "reports.csv").unlink(missing_ok=True)
     result.times.rank_s = time.perf_counter() - started
     return result
 
@@ -234,7 +246,9 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 def cmd_discover(args: argparse.Namespace) -> int:
     config = _run_config(args)
     result = discover(config)
-    baseline_path = _write_baseline(result.baseline, config.out_dir)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    baseline_path = config.out_dir / "baseline.json"
+    _write_baseline(result.baseline, baseline_path)
     index = result.index
     print(
         f"ingest: {index.total_records} records ({index.rejected_records} rejected), "
@@ -251,6 +265,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    # The chart module is loaded only here, so recommend never compiles it.
+    from .explain import explain, write_explanation
+
     config = _run_config(args)
     result = run_pipeline(config, (args.entity,))
     bundle = explain(args.entity, result.kept[args.entity], result.index, result.baseline)
@@ -370,18 +387,22 @@ def _name_list_flag(text: str) -> tuple[str, ...]:
 
 def _p_flag(text: str) -> int | tuple[int, ...]:
     try:
-        return parse_p(text)
+        p = parse_p(text)
     except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if min((p,) if isinstance(p, int) else p) < 1:
+        raise argparse.ArgumentTypeError(f"expected integers >= 1, got {text!r}")
+    return p
 
 
-def _positive_int(text: str) -> int:
+def _int_flag(text: str, least: int) -> int:
+    """One integer, at least ``least``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {value}")
     return value
 
 
@@ -401,7 +422,10 @@ def _analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", action="append", help="log file (repeatable)")
     parser.add_argument("--out", default="comborank_out", help="output directory")
     parser.add_argument(
-        "--threads", type=_positive_int, default=1, help="worker processes (0 = one per CPU)"
+        "--threads",
+        type=partial(_int_flag, least=0),
+        default=1,
+        help="worker processes (0 = one per CPU)",
     )
     parser.add_argument(
         "--categories", type=_name_list_flag, default=None, help="category columns, comma-separated"
@@ -410,9 +434,14 @@ def _analysis_flags(parser: argparse.ArgumentParser) -> None:
         "--entity", dest="entity_field", default=None, help="entity column name"
     )
     parser.add_argument("--p", type=_p_flag, default=None, help="top values per category")
-    parser.add_argument("--k", type=_positive_int, default=None, help="items per entity report")
     parser.add_argument(
-        "--min-support", type=_positive_int, default=None, help="minimum combination count"
+        "--k", type=partial(_int_flag, least=1), default=None, help="items per entity report"
+    )
+    parser.add_argument(
+        "--min-support",
+        type=partial(_int_flag, least=0),
+        default=None,
+        help="minimum combination count",
     )
     parser.add_argument(
         "--format", choices=("json", "csv"), default="json", help="additional report format"

@@ -1,4 +1,4 @@
-"""Evidence rendering: cohort charts and canonical report serialization.
+"""Evidence rendering: cohort charts and the files that hold them.
 
 Charts are built as plain SVG strings so the output is deterministic: no
 clock, no library state, fixed float formatting.  For each chart the focal
@@ -6,29 +6,23 @@ entity's bar is highlighted and a dashed marker is drawn at its rank
 position, carrying ``data-rank`` and ``data-cohort`` attributes so the
 geometry can be cross-checked against the rank statistics.
 
-Report documents are JSON with sorted keys and repr-precision floats, which
-makes byte equality meaningful: two runs agree on the document bytes exactly
-when they agree on every number.
+Only ``explain`` calls load this module.  Report documents are written by
+``reports``; ``emit_report`` is also served from here.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from _blake2 import blake2s  # hashlib's own blake2s, without loading OpenSSL
-from csv import writer as csv_writer
-from json.encoder import encode_basestring as _json_string
-from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .baseline import BaselineSet
 from .ingest import ContingencyIndex
 from .rankstats import rank_ordering
-from .recommend import AnomalyItem, EntityAnomalyReport
-
-SCHEMA_VERSION = 1
+from .recommend import EntityAnomalyReport
+from .reports import SCHEMA_VERSION, emit_report  # noqa: F401 - emit_report is served from here too
 
 _CHART_WIDTH = 960
 _CHART_HEIGHT = 340
@@ -218,147 +212,6 @@ def render_chart(chart: ChartData) -> str:
     )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-# --- report documents ---------------------------------------------------------
-
-_ENTITY = attrgetter("entity")
-
-
-def _json_array(encoded: Sequence[str], indent: str) -> str:
-    """Already-encoded JSON values as an array whose brackets sit at ``indent``."""
-    if not encoded:
-        return "[]"
-    inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(encoded) + "\n" + indent + "]"
-
-
-def _json_number(value: float | None) -> str:
-    return "null" if value is None else repr(value)
-
-
-def _item_json(item: AnomalyItem) -> str:
-    combination = _json_array([_json_string(v) for v in item.combination], " " * 10)
-    return (
-        "{\n"
-        f'          "cohort_size": {item.cohort_size!r},\n'
-        f'          "combination": {combination},\n'
-        f'          "count": {item.count!r},\n'
-        f'          "distance": {item.distance!r},\n'
-        f'          "rank": {item.rank!r},\n'
-        f'          "rr": {item.rr!r}\n'
-        "        }"
-    )
-
-
-def _report_json(report: EntityAnomalyReport) -> str:
-    """One entity's entry in the ``entities`` array."""
-    items = _json_array([_item_json(item) for item in report.items], " " * 6)
-    return (
-        "{\n"
-        f'      "baseline_presence": {report.baseline_presence!r},\n'
-        f'      "entity": {_json_string(report.entity)},\n'
-        f'      "expected_rank": {_json_number(report.expected_rank)},\n'
-        f'      "items": {items},\n'
-        f'      "mrr": {_json_number(report.mrr)}\n'
-        "    }"
-    )
-
-
-def _top_level_array(key: str, encoded: Iterable[str]) -> Iterator[str]:
-    """The document's ``key`` array and its trailing comma, one piece per element."""
-    opening = f'  "{key}": [\n    '
-    separator = opening
-    for value in encoded:
-        yield separator + value
-        separator = ",\n    "
-    yield f'  "{key}": [],\n' if separator is opening else "\n  ],\n"
-
-
-def _json_chunks(ordered: Iterable[EntityAnomalyReport]) -> Iterator[str]:
-    """The JSON document in pieces, one per entity, reading ``ordered`` once.
-
-    Past its own piece, only the name of an entity with no baseline is kept,
-    for the closing ``no_baseline_presence`` array.
-    """
-    absent: list[str] = []
-
-    def entries() -> Iterator[str]:
-        for report in ordered:
-            if report.mrr is None:
-                absent.append(report.entity)
-            yield _report_json(report)
-
-    yield "{\n"
-    yield from _top_level_array("entities", entries())
-    yield from _top_level_array("no_baseline_presence", map(_json_string, absent))
-    yield f'  "schema_version": {SCHEMA_VERSION}\n}}\n'
-
-
-def _with_csv_rows(
-    ordered: Iterable[EntityAnomalyReport], handle: IO[str]
-) -> Iterator[EntityAnomalyReport]:
-    """``ordered`` passed through, writing the CSV view to ``handle`` as each report goes by."""
-    rows = csv_writer(handle, lineterminator="\n")
-    rows.writerow(
-        ["entity", "mrr", "expected_rank", "combination", "distance", "rr", "rank",
-         "cohort_size", "count"]
-    )
-    for report in ordered:
-        for item in report.items:
-            rows.writerow([
-                report.entity,
-                f"{report.mrr:.6g}",
-                f"{report.expected_rank:.6g}",
-                "|".join(item.combination),
-                f"{item.distance:.6g}",
-                f"{item.rr:.6g}",
-                item.rank,
-                item.cohort_size,
-                item.count,
-            ])
-        yield report
-
-
-def emit_report(reports: Sequence[EntityAnomalyReport], format: str = "json") -> str:
-    """Serialize reports canonically; "json" round-trips, "csv" flattens items.
-
-    The JSON document sorts keys and entities and keeps floats at repr
-    precision, so identical statistics produce identical bytes.  It is written
-    directly, byte for byte what ``json.dumps(doc, sort_keys=True, indent=2,
-    ensure_ascii=False)`` gives, because that call runs the pure-Python
-    encoder whenever ``indent`` is set.  Every float is finite: MRR, its
-    inverse, rr and distance all come from positive ranks.  The CSV view
-    has one row per item (entities without items do not appear) with floats
-    at six significant digits, and joins combination values with ``|``.
-    """
-    ordered = sorted(reports, key=_ENTITY)
-    buffer = io.StringIO()
-    if format == "json":
-        buffer.writelines(_json_chunks(ordered))
-    elif format == "csv":
-        for _report in _with_csv_rows(ordered, buffer):
-            pass
-    else:
-        raise ValueError(f"unknown report format {format!r}")
-    return buffer.getvalue()
-
-
-def write_reports(
-    ordered: Iterable[EntityAnomalyReport], json_path: Path, csv_path: Path | None = None
-) -> None:
-    """Write reports in entity order to ``json_path`` and, given ``csv_path``, the CSV view.
-
-    Each file holds what ``emit_report`` gives for its format, written from
-    one pass over ``ordered``, so a ranking generator streams straight to
-    disk and only the report at hand is held.
-    """
-    with open(json_path, "w", encoding="utf-8") as handle:
-        if csv_path is None:
-            handle.writelines(_json_chunks(ordered))
-            return
-        with open(csv_path, "w", encoding="utf-8") as csv_handle:
-            handle.writelines(_json_chunks(_with_csv_rows(ordered, csv_handle)))
 
 
 # --- file layout ---------------------------------------------------------------

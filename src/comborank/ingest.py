@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import gzip
 import zlib
+from functools import cache
 from itertools import chain
 from math import inf
 from os import cpu_count
 from pathlib import Path
 from sys import intern
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import AnalysisSpec, ConfigError, FieldMapping
 
@@ -152,6 +153,49 @@ def _used_indexes(spec: AnalysisSpec, mapping: FieldMapping) -> tuple[int, ...]:
     )
 
 
+# The counting loop, written out for one arity: the key is a tuple display of
+# the category fields, so CPython builds it without a per-line comprehension.
+# Only the local names ``i0``, ``i1``, ... are substituted into the template;
+# column positions, the delimiter and the missing token are passed as values,
+# so no input text reaches the source.
+_COUNT_TEMPLATE = """\
+def count_lines(lines, delimiter, column_count, missing, {indexes}, entity_index, cells):
+    seen = 0
+    rejected = 0
+    for seen, line in enumerate(lines, 1):
+        fields = line.split(delimiter)
+        if len(fields) != column_count:
+            rejected += 1
+            continue
+        combination = ({key})
+        entity = fields[entity_index].strip() or missing
+        cell = cells.get(combination)
+        if cell is None:
+            cells[tuple(map(intern, combination))] = {{intern(entity): 1}}
+        else:
+            count = cell.get(entity)
+            if count is None:
+                cell[intern(entity)] = 1
+            else:
+                cell[entity] = count + 1
+    return seen - rejected, rejected
+"""
+
+def _counting_source(arity: int) -> str:
+    """The counting loop's source for ``arity`` categories; it depends on nothing else."""
+    names = [f"i{j}" for j in range(arity)]
+    key = ", ".join(f"fields[{name}].strip() or missing" for name in names)
+    return _COUNT_TEMPLATE.format(indexes=", ".join(names), key=key + "," * (arity == 1))
+
+
+@cache
+def _counter(arity: int) -> Callable[..., tuple[int, int]]:
+    """The counting loop for ``arity`` categories, compiled on first use."""
+    namespace = {"intern": intern}
+    exec(_counting_source(arity), namespace)
+    return namespace["count_lines"]
+
+
 def _count_lines(
     lines: Iterable[str],
     mapping: FieldMapping,
@@ -164,31 +208,13 @@ def _count_lines(
     the missing token, and it is counted straight into its cell, so nothing
     but the index outlives a line.  Names are interned when a cell or an
     entity is stored anew, so the index holds one string object per distinct
-    name.
+    name.  The loop itself is ``_counter``'s, specialised to the category
+    count.
     """
-    delimiter = mapping.delimiter
-    column_count = mapping.column_count
-    missing = mapping.missing_token
-    *category_indexes, entity_index = used_indexes
-    seen = 0
-    rejected = 0
-    for seen, line in enumerate(lines, 1):
-        fields = line.split(delimiter)
-        if len(fields) != column_count:
-            rejected += 1
-            continue
-        combination = tuple([fields[i].strip() or missing for i in category_indexes])
-        entity = fields[entity_index].strip() or missing
-        cell = cells.get(combination)
-        if cell is None:
-            cells[tuple([intern(value) for value in combination])] = {intern(entity): 1}
-        else:
-            count = cell.get(entity)
-            if count is None:
-                cell[intern(entity)] = 1
-            else:
-                cell[entity] = count + 1
-    return seen - rejected, rejected
+    count = _counter(len(used_indexes) - 1)
+    return count(
+        lines, mapping.delimiter, mapping.column_count, mapping.missing_token, *used_indexes, cells
+    )
 
 
 def _aggregates(

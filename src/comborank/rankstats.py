@@ -31,10 +31,11 @@ was chunked or how many workers built the index.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from heapq import heappush, heapreplace
 from math import fsum
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .baseline import BaselineSet
 from .ingest import ContingencyIndex
@@ -132,10 +133,10 @@ class EntityAnomalyReport(NamedTuple):
 def _baseline_ranks(index: ContingencyIndex, baseline: BaselineSet) -> dict[str, list[int]]:
     """Each entity's ranks in the observed baseline cells, for entities present in one.
 
-    Each observed baseline combination is ordered once and its ranks fanned
-    out, so the cost is one sort per baseline cell instead of one per
-    (entity, cell) pair.  Entities absent from every baseline cell get no
-    entry.
+    Each observed baseline cell's counts are sorted once and every entity's
+    rank read from them, so the cost is one sort per baseline cell instead
+    of one per (entity, cell) pair.  Entities absent from every baseline
+    cell get no entry.
     """
     if not baseline.combinations:
         raise ValueError("baseline set is empty")
@@ -144,7 +145,10 @@ def _baseline_ranks(index: ContingencyIndex, baseline: BaselineSet) -> dict[str,
         cell = index.cells.get(combo)
         if not cell:
             continue
-        for entity, _count, rank in _ranked(cell):
+        counts = sorted(cell.values())
+        above = len(counts) + 1
+        for entity, count in cell.items():
+            rank = above - bisect_right(counts, count)
             ranks = per_entity.get(entity)
             if ranks is None:
                 per_entity[entity] = [rank]
@@ -203,37 +207,44 @@ def _scored_cohorts(index: ContingencyIndex, baseline: BaselineSet, min_support:
     )
 
 
-def _scores(
-    cell: dict[str, int], mrrs: dict[str, float]
-) -> Iterator[tuple[str, float, float, int, int]]:
-    """(entity, distance, rr, rank, count) for each entity of a cohort that has an MRR.
-
-    The distance is how far the entity's reciprocal rank in the cohort sits
-    from its MRR.
-    """
-    for entity, count, rank in _ranked(cell):
-        mrr = mrrs.get(entity)
-        if mrr is not None:
-            rr = 1.0 / rank
-            yield entity, abs(rr - mrr), rr, rank, count
-
-
 def _best_candidates(
     cohorts: _Cohorts, mrrs: dict[str, float], k: int
 ) -> dict[str, list[_Candidate]]:
     """The one ranking pass: each entity's best k candidates over ``cohorts``.
 
-    Each cohort is ranked in turn, and each entity with an MRR keeps its
-    candidates in a min-heap of ``(distance, -position, rr, rank, count)``,
-    ``position`` being the cohort's place in ``cohorts``.  A larger key is a
-    larger distance, or an equal distance and a smaller combination, which is
-    the report order.  Since positions only grow, a candidate whose distance
-    merely equals the heap's smallest has the smaller key and stays out: only
-    a strictly larger distance replaces the root.
+    Each cohort's counts are sorted once, and the competition rank of an
+    entity with count ``c`` is read from them: one plus the number of counts
+    above ``c``.  A one-entity cohort is rank 1 with no sort.  The distance
+    is how far the entity's reciprocal rank there sits from its MRR.
+
+    Each entity with an MRR keeps its candidates in a min-heap of
+    ``(distance, -position, rr, rank, count)``, ``position`` being the
+    cohort's place in ``cohorts``.  A larger key is a larger distance, or an
+    equal distance and a smaller combination, which is the report order.
+    Since positions only grow, a candidate whose distance merely equals the
+    heap's smallest has the smaller key and stays out: only a strictly
+    larger distance replaces the root.  An entity occurs once per cohort and
+    has its own heap, so the order in which a cohort's entities are visited
+    changes no heap.
     """
     best: dict[str, list[_Candidate]] = {}
     for position, (_combo, cell) in enumerate(cohorts):
-        for entity, distance, rr, rank, count in _scores(cell, mrrs):
+        if len(cell) == 1:
+            counts = None
+        else:
+            counts = sorted(cell.values())
+            above = len(counts) + 1
+        for entity, count in cell.items():
+            mrr = mrrs.get(entity)
+            if mrr is None:
+                continue
+            if counts is None:
+                rank = 1
+                rr = 1.0
+            else:
+                rank = above - bisect_right(counts, count)
+                rr = 1.0 / rank
+            distance = abs(rr - mrr)
             heap = best.get(entity)
             if heap is None:
                 best[entity] = [(distance, -position, rr, rank, count)]

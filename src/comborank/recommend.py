@@ -38,6 +38,41 @@ def top_k(entity: str, table: DistanceTable, k: int) -> EntityAnomalyReport:
     return stats._replace(items=tuple(islice(candidates.values(), k)))
 
 
+class Ranking:
+    """What the one ranking pass leaves for the reports to be built from.
+
+    ``entities`` lists every observed entity in order.  ``presence`` and
+    ``mrrs`` hold the baseline summary of each entity present in a baseline
+    cell, and ``best`` maps it to its best k candidates, a heap whose
+    positions point into ``cohorts``.  An entity without an MRR has no
+    baseline presence, no items and no heap.
+    """
+
+    __slots__ = ("entities", "presence", "mrrs", "cohorts", "best")
+
+    def __init__(self, index: ContingencyIndex, baseline: BaselineSet, spec: AnalysisSpec) -> None:
+        if index.total_records == 0:
+            raise ValueError("empty index: no accepted records to analyse")
+        # Sorted first, so the set of names is freed before the heaps are built.
+        self.entities = sorted(index.entities())
+        ranks = _baseline_ranks(index, baseline)
+        self.presence = {entity: len(entity_ranks) for entity, entity_ranks in ranks.items()}
+        self.mrrs = {entity: mrr_from_ranks(entity_ranks) for entity, entity_ranks in ranks.items()}
+        del ranks  # freed before the heaps are built
+        self.cohorts = _scored_cohorts(index, baseline, spec.min_support)
+        self.best = _best_candidates(self.cohorts, self.mrrs, spec.k)
+
+    def report(self, entity: str, heap: list | None = None) -> EntityAnomalyReport:
+        """``entity``'s report, from ``heap`` if given, else from its heap in ``best``."""
+        mrr = self.mrrs.get(entity)
+        if mrr is None:
+            return EntityAnomalyReport(entity, None, None, 0, ())
+        if heap is None:
+            heap = self.best.get(entity, [])
+        items = _items(heap, self.cohorts)
+        return EntityAnomalyReport(entity, mrr, 1.0 / mrr, self.presence[entity], items)
+
+
 def rank_reports(
     index: ContingencyIndex,
     baseline: BaselineSet,
@@ -52,21 +87,10 @@ def rank_reports(
     not yet reported and one report.  An entity absent from every baseline
     cell gets an empty report.
     """
-    if index.total_records == 0:
-        raise ValueError("empty index: no accepted records to analyse")
-    # Sorted first, so the set of names is freed before the heaps are built.
-    entities = sorted(index.entities())
-    ranks = _baseline_ranks(index, baseline)
-    mrrs = {entity: mrr_from_ranks(entity_ranks) for entity, entity_ranks in ranks.items()}
-    cohorts = _scored_cohorts(index, baseline, spec.min_support)
-    best = _best_candidates(cohorts, mrrs, spec.k)
-    for entity in entities:
-        mrr = mrrs.get(entity)
-        if mrr is None:
-            yield EntityAnomalyReport(entity, None, None, 0, ())
-            continue
-        items = _items(best.pop(entity, []), cohorts)
-        yield EntityAnomalyReport(entity, mrr, 1.0 / mrr, len(ranks[entity]), items)
+    ranking = Ranking(index, baseline, spec)
+    best = ranking.best
+    for entity in ranking.entities:
+        yield ranking.report(entity, best.pop(entity, []))
 
 
 def recommend_all(

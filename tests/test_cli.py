@@ -20,8 +20,10 @@ from comborank import (
 )
 from comborank import cli as cli_module
 from comborank import ingest as ingest_module
+from comborank import reports as reports_module
 from comborank.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     InputError,
@@ -304,6 +306,95 @@ class TestStreamedReports:
         assert peak - base < listed, (peak - base, listed)
 
 
+class _FailAfter(list):
+    """Entity names whose iteration raises ``error`` after ``count`` of them."""
+
+    def __init__(self, names, count, error):
+        super().__init__(names)
+        self.count = count
+        self.error = error
+
+    def __iter__(self):
+        for position, name in enumerate(super().__iter__()):
+            if position == self.count:
+                raise self.error
+            yield name
+
+
+class TestAllOrNothingArtifacts:
+    """A run replaces the report files only once all of them are written."""
+
+    _ARGV = ["--categories", "cat1,cat2,cat3,cat4", "--entity", "entity"]
+
+    def _fail_after(self, monkeypatch, count, error):
+        class FailingRanking(cli_module.Ranking):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.entities = _FailAfter(self.entities, count, error)
+
+        monkeypatch.setattr(cli_module, "Ranking", FailingRanking)
+        # Small batches, so some of the failing run's text reaches its files.
+        monkeypatch.setattr(reports_module, "_BATCH", 8)
+
+    @staticmethod
+    def _contents(out_dir):
+        return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+    @pytest.mark.parametrize("error", [MemoryError("ranking"), KeyboardInterrupt()])
+    def test_failed_run_keeps_the_previous_files(self, sample_log, tmp_path, monkeypatch, error):
+        out_dir = tmp_path / "out"
+        argv = ["recommend", "--input", str(sample_log), "--out", str(out_dir), *self._ARGV]
+        assert main([*argv, "--format", "csv"]) == EXIT_OK
+        before = self._contents(out_dir)
+        assert sorted(before) == ["baseline.json", "reports.csv", "reports.json"]
+        self._fail_after(monkeypatch, 40, error)
+        failing = [*argv, "--format", "csv", "--k", "2", "--p", "1"]
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(failing)
+        else:
+            assert main(failing) == EXIT_INTERNAL
+        assert self._contents(out_dir) == before
+
+    def test_json_run_removes_a_stale_csv(self, sample_log, tmp_path):
+        out_dir = tmp_path / "out"
+        argv = ["recommend", "--input", str(sample_log), "--out", str(out_dir), *self._ARGV]
+        assert main([*argv, "--format", "csv"]) == EXIT_OK
+        written = self._contents(out_dir)
+        assert main(argv) == EXIT_OK
+        assert self._contents(out_dir) == {
+            name: text for name, text in written.items() if name != "reports.csv"
+        }
+
+
+def test_artifacts_are_the_same_across_hash_seeds_and_workers(sample_log, tmp_path):
+    """Fresh processes under three hash seeds and one or two workers write the same bytes.
+
+    Within a cohort, entities are visited in dict order, which follows the
+    order lines were counted in and so differs between worker counts.
+    """
+    assert sample_log.stat().st_size > 2 * ingest_module._MIN_CHUNK_BYTES  # two workers split it
+    contents = {}
+    for seed in ("0", "1", "12345"):
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"{seed}-{threads}"
+            proc = _run_python(
+                "-m", "comborank.cli", "recommend", "--input", str(sample_log),
+                "--out", str(out_dir), "--categories", "cat1,cat2,cat3,cat4",
+                "--entity", "entity", "--format", "csv", "--threads", threads,
+                hash_seed=seed,
+            )
+            assert proc.returncode == 0, proc.stderr
+            contents[seed, threads] = {
+                name: (out_dir / name).read_bytes()
+                for name in ("baseline.json", "reports.json", "reports.csv")
+            }
+    first = contents["0", "1"]
+    assert all(files == first for files in contents.values())
+
+
 class TestExitCodes:
     def test_no_command(self):
         assert main([]) == EXIT_USAGE
@@ -325,6 +416,10 @@ class TestExitCodes:
             ["bench", "--sizes", "2000,0"],
             ["bench", "--threads", "0.5"],
             ["bench", "--threads", "1,-1"],
+            ["recommend", "--input", "log.csv", "--k", "0"],
+            ["recommend", "--input", "log.csv", "--p", "0"],
+            ["recommend", "--input", "log.csv", "--p", "-1"],
+            ["recommend", "--input", "log.csv", "--p", "2,0"],
         ],
         ids=[
             "threads-minus",
@@ -335,12 +430,27 @@ class TestExitCodes:
             "sizes-one-zero",
             "threads-fraction",
             "threads-one-negative",
+            "k-zero",
+            "p-zero",
+            "p-negative",
+            "p-one-zero",
         ],
     )
     def test_bad_flag_value(self, argv, tmp_path):
         # A bad value must stop the run before any log is generated.
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("line", ["k = 0", "p = 0", "p = 2,-1"])
+    def test_out_of_range_config_value(self, sample_log, tmp_path, line):
+        """The same values from a config file are configuration errors."""
+        conf = tmp_path / "analysis.conf"
+        conf.write_text(f"categories = cat1,cat2\nentity = entity\n{line}\n")
+        rc = main([
+            "recommend", "--config", str(conf), "--input", str(sample_log),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == EXIT_INPUT
 
     def test_missing_input_flag(self, analysis_conf):
         assert main(["recommend", "--config", str(analysis_conf)]) == EXIT_USAGE
@@ -454,26 +564,37 @@ def test_rank_profile_via_cli(tmp_path):
 _SRC = Path(comborank.__file__).resolve().parent.parent
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str, hash_seed: str | None = None) -> subprocess.CompletedProcess:
     """Run a fresh interpreter with this package's ``src/`` on ``PYTHONPATH``."""
     path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
-def test_import_loads_only_analysis_modules():
-    """Start-up pays for no module that only synth, bench, fan-out or chart text use.
+def test_import_loads_only_analysis_modules(tmp_path):
+    """A ``recommend`` run pays for no module that only synth, bench, fan-out or charts use.
 
     Nor for ``dataclasses`` and the ``inspect`` it loads, which no class needs.
     """
     heavy = (
         "numpy", "multiprocessing", "urllib.request", "xml.sax", "hashlib", "_hashlib",
-        "dataclasses", "inspect", "html",
+        "dataclasses", "inspect", "html", "comborank.explain",
     )
-    code = f"import sys, comborank.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    log = tmp_path / "log.csv"
+    log.write_text("c1,entity\na,e1\nb,e2\n", encoding="utf-8")
+    argv = [
+        "recommend", "--input", str(log), "--out", str(tmp_path / "out"),
+        "--categories", "c1", "--entity", "entity",
+    ]
+    code = (
+        "import sys; from comborank.cli import main; "
+        f"rc = main({argv!r}); print(rc, [m for m in {heavy!r} if m in sys.modules])"
+    )
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_explain_loads_no_openssl(tmp_path):

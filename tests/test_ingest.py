@@ -412,12 +412,25 @@ def _repeating(element, max_size):
 
 # (column names, categories, entity): the entity column last, a single
 # category, and the entity first with an unused column between the two
-# categories.
+# categories; then three, five and six categories, with the entity in the
+# middle, categories out of column order and an unused column last, since
+# the counting loop is written out once per category count.
 _LAYOUTS = {
     "two-categories": (("Browser", "Country", "Customer"), ("Browser", "Country"), "Customer"),
     "one-category": (("Browser", "Customer"), ("Browser",), "Customer"),
     "entity-first": (
         ("Customer", "Browser", "Path", "Country"), ("Browser", "Country"), "Customer"
+    ),
+    "three-categories": (("c1", "c2", "Customer", "c3"), ("c1", "c2", "c3"), "Customer"),
+    "five-categories": (
+        ("c1", "c2", "c3", "c4", "c5", "Customer", "Path"),
+        ("c5", "c3", "c1", "c2", "c4"),
+        "Customer",
+    ),
+    "six-categories": (
+        ("c1", "c2", "c3", "c4", "c5", "c6", "Customer"),
+        ("c1", "c2", "c3", "c4", "c5", "c6"),
+        "Customer",
     ),
 }
 _name = st.sampled_from(["a", "b", "c", "Unknown", ""])
@@ -426,9 +439,9 @@ _pad = st.sampled_from([" ", "  ", "\t", "\u3000", ""])
 _spelled = st.one_of(
     _name, st.builds(lambda left, name, right: left + name + right, _pad, _name, _pad)
 )
-# Five fields and a width offset: a line is the first width + offset fields,
+# Eight fields and a width offset: a line is the first width + offset fields,
 # so now and then it has one field too few or too many.
-_row = st.tuples(st.lists(_spelled, min_size=5, max_size=5), st.sampled_from([0, 0, 0, -1, 1]))
+_row = st.tuples(st.lists(_spelled, min_size=8, max_size=8), st.sampled_from([0, 0, 0, -1, 1]))
 
 
 class TestBatchedCounting:
@@ -448,6 +461,38 @@ class TestBatchedCounting:
             path = Path(tmp) / "log.csv"
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             _assert_matches_lines_and_oracle(path, lines, header=False, spec=spec, mapping=mapping)
+
+
+class TestCountingSource:
+    """The counting loop is written out per category count; no mapping text reaches its source."""
+
+    # Quotes, braces, ``#``, a backslash and a newline: each would break, or
+    # change, generated source if it were pasted into it.
+    _AWKWARD = ['"', "'", "{", "}", "#", "\\", "\n"]
+
+    @pytest.mark.parametrize("delimiter", _AWKWARD)
+    def test_awkward_mapping_counts_as_the_reference(self, delimiter):
+        names = ('a"{b}', "#c'", "d\ne\\", "{0}", "ent}#")
+        missing = '"}{#\n\\'
+        mapping = FieldMapping(names, delimiter=delimiter, missing_token=missing)
+        spec = AnalysisSpec(names[:4], names[4], p=1)
+        rows = [["x", "", " y ", "x", "e1"], ["", "", "", "", ""], ["x", "z", "y", "", "e1"]]
+        lines = [delimiter.join(row) for row in rows] + [delimiter.join(["x"] * 4)]
+        _, index = ingest_lines(lines, spec, mapping)
+        assert index.cells == {
+            ("x", missing, "y", "x"): {"e1": 1},
+            (missing, missing, missing, missing): {missing: 1},
+            ("x", "z", "y", missing): {"e1": 1},
+        }
+        assert (index.total_records, index.rejected_records) == (3, 1)
+
+    def test_source_depends_only_on_the_category_count(self):
+        for arity in range(1, 7):
+            source = ingest_module._counting_source(arity)
+            # One key field per category, and no string literal or comment.
+            assert source.count("fields[i") == arity
+            assert not any(mark in source for mark in ('"', "'", "#"))
+            assert ingest_module._counter(arity) is ingest_module._counter(arity)
 
 
 _noise = st.sampled_from(["", " ", "  ", "\t", "\v", "\f", "\u2028"])

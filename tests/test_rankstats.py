@@ -1,7 +1,7 @@
 from math import fsum, isclose
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from comborank import (
@@ -12,6 +12,7 @@ from comborank import (
     mrr_from_ranks,
     rank_ordering,
 )
+from comborank.rankstats import _baseline_ranks, _best_candidates, _ranked
 
 
 def _index(cells: dict) -> ContingencyIndex:
@@ -190,3 +191,25 @@ class TestInvariants:
                 assert other.distance == entry.distance
                 assert other.rank == entry.rank
                 assert other.cohort_size == entry.cohort_size
+
+
+class TestRanksFromCounts:
+    """The ranking loops read each rank from the sorted counts: the ranks ``_ranked`` gives."""
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(["e1", "e2", "e3", "e4", "e5", "e6"]), st.integers(1, 4), min_size=1
+        )
+    )
+    @example({"e1": 7})
+    @example({"e1": 2, "e2": 2, "e3": 1, "e4": 2})
+    def test_equals_the_ordered_ranks(self, cell):
+        expected = {entity: rank for entity, _count, rank in _ranked(cell)}
+        # k = 1 and one cohort: each entity's heap holds its one candidate.
+        best = _best_candidates([(("a", "x"), cell)], {entity: 0.5 for entity in cell}, 1)
+        assert {entity: heap[0][3] for entity, heap in best.items()} == expected
+        assert {entity: heap[0][2] for entity, heap in best.items()} == {
+            entity: 1.0 / rank for entity, rank in expected.items()
+        }
+        ranks = _baseline_ranks(_index({("a", "x"): cell}), _baseline([("a", "x")]))
+        assert ranks == {entity: [rank] for entity, rank in expected.items()}

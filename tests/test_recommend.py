@@ -1,3 +1,4 @@
+import io
 import tempfile
 from pathlib import Path
 
@@ -18,6 +19,9 @@ from comborank import (
     recommend_all,
     top_k,
 )
+from comborank.recommend import Ranking, rank_reports
+from comborank import reports as reports_module
+from comborank.reports import write_ranking
 from comborank.synthgen import oracle_recommend
 
 
@@ -164,3 +168,36 @@ class TestBoundedPass:
         marginals, index = ingest_lines(lines, spec, FieldMapping(("C1", "C2", "E")))
         baseline = generate_baseline(marginals, spec)
         assert emit_report(recommend_all(index, baseline, spec)) == emit_report(expected)
+
+
+# Names that JSON escapes or the CSV writer quotes.
+_awkward_name = st.text(st.sampled_from('ab"\\,|\n\r \x00\u2028\U0001f600'), min_size=1, max_size=3)
+
+
+class TestReportWriter:
+    @given(
+        st.dictionaries(
+            st.tuples(_awkward_name, _awkward_name),
+            st.dictionaries(_awkward_name, st.integers(1, 3), min_size=1, max_size=5),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(1, 3),
+        st.sampled_from([1, 2, 256]),
+        st.data(),
+    )
+    def test_writes_what_emit_report_gives(self, cells, k, batch, data):
+        """The pass-driven writer's bytes equal ``emit_report`` of ``rank_reports``, both formats.
+
+        Batches of one and two entities put batch ends inside both arrays.
+        """
+        index = _index(cells)
+        baseline = _baseline(data.draw(st.sets(st.sampled_from(sorted(cells)), min_size=1)))
+        spec = AnalysisSpec(("C1", "C2"), "E", k=k)
+        reports = list(rank_reports(index, baseline, spec))
+        json_text, csv_text = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reports_module, "_BATCH", batch)
+            write_ranking(Ranking(index, baseline, spec), json_text, csv_text)
+        assert json_text.getvalue() == emit_report(reports, "json")
+        assert csv_text.getvalue() == emit_report(reports, "csv")
