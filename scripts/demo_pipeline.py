@@ -10,8 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from comborank import RunSettings, explain, write_explanation
+from comborank import RunSettings
 from comborank.cli import RunConfig, run_pipeline
+from comborank.explain import explain, write_explanation
 from comborank.synthgen import generate_log, planted_config
 
 

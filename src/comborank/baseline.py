@@ -10,7 +10,6 @@ from __future__ import annotations
 from itertools import product
 
 from .config import AnalysisSpec, ConfigError
-from .ingest import CategoryMarginals
 
 
 class EmptyCategoryError(ValueError):
@@ -48,23 +47,23 @@ class BaselineSet:
         return sorted(self.combinations)
 
 
-def top_p_values(marginals: CategoryMarginals, category: str, p: int) -> list[str]:
+def top_p_values(marginals: dict[str, dict[str, int]], category: str, p: int) -> list[str]:
     """The category's ``p`` most frequent values, most frequent first.
 
-    Ties on count break toward the lexicographically smaller value so the
-    selection is deterministic.  Fewer than ``p`` observed values is fine;
-    all of them are returned.
+    ``marginals`` maps each category to its ``{value: count}``, as ingest
+    returns them.  Ties on count break toward the lexicographically smaller
+    value so the selection is deterministic.  Fewer than ``p`` observed
+    values is fine; all of them are returned.
     """
     if p < 1:
         raise ConfigError(f"p must be >= 1, got {p}")
-    if category not in marginals.counts:
+    if category not in marginals:
         raise ConfigError(f"unknown category {category!r}")
-    counts = marginals.counts[category]
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    ordered = sorted(marginals[category].items(), key=lambda item: (-item[1], item[0]))
     return [value for value, _ in ordered[:p]]
 
 
-def generate_baseline(marginals: CategoryMarginals, spec: AnalysisSpec) -> BaselineSet:
+def generate_baseline(marginals: dict[str, dict[str, int]], spec: AnalysisSpec) -> BaselineSet:
     """Build the expected-combination set: top-p values per category, crossed."""
     tops: list[tuple[str, ...]] = []
     for category, per_cat in zip(spec.categories, spec.p):

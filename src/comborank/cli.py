@@ -14,10 +14,10 @@ import os
 import sys
 import time
 import zlib
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from functools import partial
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .baseline import BaselineSet, baseline_as_dict, generate_baseline
 from .config import (
@@ -151,6 +151,26 @@ def _write_baseline(baseline: BaselineSet, path: Path) -> None:
     )
 
 
+@contextmanager
+def _all_or_nothing(paths: Sequence[Path]) -> Iterator[list[Path]]:
+    """Temporary names beside ``paths``, renamed onto them once the block completes.
+
+    The directory is created if need be.  On any exception,
+    ``KeyboardInterrupt`` included, the temporaries are removed and the
+    files at ``paths`` stay as they were.
+    """
+    staged = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
+    try:
+        yield staged
+        for temporary, path in zip(staged, paths):
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary in staged:
+            temporary.unlink(missing_ok=True)
+        raise
+
+
 def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
     """Discover, then rank straight into the artifacts; raises InputError on bad input.
 
@@ -161,11 +181,9 @@ def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
     built only for the entities in ``keep``.  Each of those must occur in
     the input; that is checked before anything is written.
 
-    The files are all or nothing: each is written under a temporary name in
-    ``config.out_dir`` and renamed into place after the last report, and on
-    any exception, ``KeyboardInterrupt`` included, the temporaries are
-    removed and the earlier run's files stay as they were.  ``rank_s``
-    covers ranking and writing.
+    The files are all or nothing (``_all_or_nothing``): they are renamed
+    into place after the last report, and a failed run leaves the earlier
+    run's files as they were.  ``rank_s`` covers ranking and writing.
     """
     wanted = sorted(set(keep))
     result = discover(config)
@@ -177,9 +195,7 @@ def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
     csv = config.report_format == "csv"
     names = ("baseline.json", "reports.json", "reports.csv")[: 3 if csv else 2]
     result.written = [out_dir / name for name in names]
-    staged = [out_dir / f".{name}.{os.getpid()}.tmp" for name in names]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    with _all_or_nothing(result.written) as staged:
         _write_baseline(result.baseline, staged[0])
         ranking = Ranking(result.index, result.baseline, result.spec)
         result.count = len(ranking.entities)
@@ -189,12 +205,6 @@ def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
                 stack.enter_context(open(path, "w", encoding="utf-8")) for path in staged[1:]
             ]
             write_ranking(ranking, *handles)
-        for temporary, path in zip(staged, result.written):
-            os.replace(temporary, path)
-    except BaseException:
-        for temporary in staged:
-            temporary.unlink(missing_ok=True)
-        raise
     if not csv:
         (out_dir / "reports.csv").unlink(missing_ok=True)
     result.times.rank_s = time.perf_counter() - started
@@ -246,9 +256,9 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 def cmd_discover(args: argparse.Namespace) -> int:
     config = _run_config(args)
     result = discover(config)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     baseline_path = config.out_dir / "baseline.json"
-    _write_baseline(result.baseline, baseline_path)
+    with _all_or_nothing([baseline_path]) as (staged,):
+        _write_baseline(result.baseline, staged)
     index = result.index
     print(
         f"ingest: {index.total_records} records ({index.rejected_records} rejected), "

@@ -13,9 +13,11 @@ Only ``explain`` calls load this module.  Report documents are written by
 from __future__ import annotations
 
 import json
+import os
 import re
 from _blake2 import blake2s  # hashlib's own blake2s, without loading OpenSSL
 from pathlib import Path
+from shutil import rmtree
 from typing import NamedTuple, Sequence
 
 from .baseline import BaselineSet
@@ -241,9 +243,33 @@ def _chart_index_entry(chart: ChartData, filename: str) -> dict:
 
 
 def write_explanation(bundle: ExplanationBundle, out_dir: str | Path) -> Path:
-    """Write one entity's charts and a JSON index; returns the entity directory."""
+    """Write one entity's charts and a JSON index; returns the entity directory.
+
+    The directory is all or nothing.  It is written under a temporary name
+    in ``out_dir`` and swapped into place once complete, so an earlier run's
+    directory for the entity is replaced whole, none of its charts left
+    behind.  On any exception, ``KeyboardInterrupt`` included, the temporary
+    is removed and the earlier directory stays as it was.
+    """
     target = Path(out_dir) / _slug(bundle.entity)
-    target.mkdir(parents=True, exist_ok=True)
+    staged = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    aside = target.with_name(f".{target.name}.{os.getpid()}.old")
+    try:
+        staged.mkdir(parents=True)
+        _write_charts(bundle, staged)
+        if target.exists():
+            os.rename(target, aside)
+        os.rename(staged, target)
+    except BaseException:
+        if aside.exists() and not target.exists():
+            os.rename(aside, target)
+        rmtree(staged, ignore_errors=True)
+        raise
+    rmtree(aside, ignore_errors=True)
+    return target
+
+
+def _write_charts(bundle: ExplanationBundle, target: Path) -> None:
     index: dict = {
         "schema_version": SCHEMA_VERSION,
         "entity": bundle.entity,
@@ -261,4 +287,3 @@ def write_explanation(bundle: ExplanationBundle, out_dir: str | Path) -> Path:
         json.dumps(index, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
-    return target

@@ -1,9 +1,10 @@
 """Streaming log ingestion into marginal counts and a combination-by-entity index.
 
-Aggregates form a merge monoid: aggregating any chunking of a record stream
-and merging the partials gives exactly the same counts as one pass over the
-whole stream.  That makes multi-process ingestion bit-identical to
-single-process ingestion, which the rest of the pipeline relies on.
+Cell counts form a merge monoid under ``_add_cells``: counting any chunking
+of a record stream and adding up the partial cells gives exactly the same
+counts as one pass over the whole stream.  That makes multi-process
+ingestion bit-identical to single-process ingestion, which the rest of the
+pipeline relies on.
 
 Every input, plain or gzip, whole or split into byte ranges, header or data,
 is read by one byte-level reader with one line rule: blocks of
@@ -15,10 +16,11 @@ undecodable bytes replaced, and split at ``\\n``, ``\\r\\n`` and a lone
 counts it straight into its index cell, so nothing but the index outlives a
 line.  ``ingest_lines`` runs the same counting over lines already in
 memory.  In a single context memory is bounded by the index plus the lines
-of one block.  Marginals are derived from the cell totals.  Plain files can
-be fanned out over byte ranges with ``workers`` processes, whose cells the
-parent adds up.  Gzip inputs are always read in a single context because the
-stream does not support random access.
+of one block.  The marginals, a plain ``{category: {value: count}}`` dict,
+are derived from the cell totals.  Plain files can be fanned out over byte
+ranges with ``workers`` processes, whose cells the parent adds up.  Gzip
+inputs are always read in a single context because the stream does not
+support random access.
 
 Malformed lines (wrong column count after splitting) are counted and skipped,
 never fatal.
@@ -34,7 +36,7 @@ from math import inf
 from os import cpu_count
 from pathlib import Path
 from sys import intern
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .config import AnalysisSpec, ConfigError, FieldMapping
 
@@ -48,17 +50,7 @@ _DAMAGED_GZIP = (EOFError, zlib.error, gzip.BadGzipFile)
 
 
 class SchemaMismatch(ValueError):
-    """Merging aggregates that were built under different specifications."""
-
-
-class CategoryMarginals(NamedTuple):
-    """Per-category value counts over the accepted records.
-
-    ``counts`` maps category name to ``{value: occurrences}``; keys follow
-    the analysis category order.
-    """
-
-    counts: dict[str, dict[str, int]]
+    """An input file whose header differs from the mapping's columns."""
 
 
 class ContingencyIndex:
@@ -89,12 +81,7 @@ class ContingencyIndex:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContingencyIndex):
             return NotImplemented
-        return (self.schema(), self.cells, self.total_records, self.rejected_records) == (
-            other.schema(), other.cells, other.total_records, other.rejected_records
-        )
-
-    def schema(self) -> tuple[tuple[str, ...], str]:
-        return (self.categories, self.entity_field)
+        return all(getattr(self, field) == getattr(other, field) for field in self.__slots__)
 
     def entities(self) -> set[str]:
         seen: set[str] = set()
@@ -126,22 +113,6 @@ def _add_cells(into: Cells, other: Cells) -> None:
                     mine[intern(entity)] = n
                 else:
                     mine[entity] = count + n
-
-
-def merge_indexes(a: ContingencyIndex, b: ContingencyIndex) -> ContingencyIndex:
-    """Cell-wise sum of two indexes built under the same spec."""
-    if a.schema() != b.schema():
-        raise SchemaMismatch(f"index schemas differ: {a.schema()} vs {b.schema()}")
-    cells: Cells = {}
-    _add_cells(cells, a.cells)
-    _add_cells(cells, b.cells)
-    return ContingencyIndex(
-        a.categories,
-        a.entity_field,
-        cells,
-        a.total_records + b.total_records,
-        a.rejected_records + b.rejected_records,
-    )
 
 
 # --- production path ---------------------------------------------------------
@@ -219,7 +190,7 @@ def _count_lines(
 
 def _aggregates(
     cells: Cells, total: int, rejected: int, spec: AnalysisSpec
-) -> tuple[CategoryMarginals, ContingencyIndex]:
+) -> tuple[dict[str, dict[str, int]], ContingencyIndex]:
     """Wrap counted cells as an index and derive the marginals from cell totals.
 
     The marginals agree exactly with per-record counting because every
@@ -232,7 +203,7 @@ def _aggregates(
         for counts, value in zip(per_cat, combination):
             counts[value] = counts.get(value, 0) + n
     index = ContingencyIndex(tuple(spec.categories), spec.entity_field, cells, total, rejected)
-    return CategoryMarginals(marginals), index
+    return marginals, index
 
 
 def _split_lines(text: str) -> list[str]:
@@ -448,7 +419,7 @@ def _count_file(
 
 def ingest_lines(
     lines: Iterable[str], spec: AnalysisSpec, mapping: FieldMapping
-) -> tuple[CategoryMarginals, ContingencyIndex]:
+) -> tuple[dict[str, dict[str, int]], ContingencyIndex]:
     """Aggregate data lines (no header) exactly as ``ingest_paths`` counts a file's."""
     cells: Cells = {}
     total, rejected = _count_lines(lines, mapping, _used_indexes(spec, mapping), cells)
@@ -462,7 +433,7 @@ def ingest_paths(
     *,
     header: bool = True,
     workers: int = 1,
-) -> tuple[CategoryMarginals, ContingencyIndex]:
+) -> tuple[dict[str, dict[str, int]], ContingencyIndex]:
     """Aggregate several log files under one mapping into one index.
 
     ``workers`` is the process count (0 = one per CPU).  Plain files fan out

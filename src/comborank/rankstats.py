@@ -16,12 +16,14 @@ how far the entity sits from where its baseline behaviour says it should.
 
 One pass scores and orders the candidates: ``_best_candidates`` ranks each
 scored cohort once and keeps each entity's best k candidates in a heap.
-``recommend.rank_reports`` runs it with the analysis's k and yields the
-reports one by one; ``recommend.recommend_all`` lists them.  The full-table
-names are views of the same pass: ``baseline_stats`` gives the reports'
-baseline summaries without items, ``compute_distances`` runs the pass with
-k at the number of scored cohorts so that every candidate is kept, and
-``recommend.top_k`` takes the first k of an entity's row.
+``recommend.Ranking`` runs it with the analysis's k; ``reports.write_ranking``
+writes the run's files from it and ``recommend.recommend_all`` lists its
+reports.  The full-table names, views of the same pass that the benchmark
+uses and ``comborank.__all__`` leaves out, are these: ``baseline_stats``
+gives the reports' baseline summaries without items, ``compute_distances``
+runs the pass with k at the number of scored cohorts so that every
+candidate is kept, and ``recommend.top_k`` takes the first k of an entity's
+row.
 
 All reciprocal-rank sums go through ``math.fsum``, which is exactly rounded
 and therefore insensitive to accumulation order.  Combined with integer

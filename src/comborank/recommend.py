@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator
 
 from .baseline import BaselineSet
 from .config import AnalysisSpec
@@ -73,30 +72,18 @@ class Ranking:
         return EntityAnomalyReport(entity, mrr, 1.0 / mrr, self.presence[entity], items)
 
 
-def rank_reports(
-    index: ContingencyIndex,
-    baseline: BaselineSet,
-    spec: AnalysisSpec,
-) -> Iterator[EntityAnomalyReport]:
-    """One report per observed entity, yielded in entity order: the one ranking pass.
-
-    The pass keeps each entity's best ``spec.k`` candidates, so the reports
-    hold what ``top_k`` of the full table would, and items are built only for
-    the survivors.  Each entity's heap is popped as its report is yielded, so
-    a consumer that writes reports as they come holds the index, the heaps
-    not yet reported and one report.  An entity absent from every baseline
-    cell gets an empty report.
-    """
-    ranking = Ranking(index, baseline, spec)
-    best = ranking.best
-    for entity in ranking.entities:
-        yield ranking.report(entity, best.pop(entity, []))
-
-
 def recommend_all(
     index: ContingencyIndex,
     baseline: BaselineSet,
     spec: AnalysisSpec,
 ) -> list[EntityAnomalyReport]:
-    """Every report of ``rank_reports``, sorted by entity for stable output."""
-    return list(rank_reports(index, baseline, spec))
+    """One report per observed entity, in entity order: the one ranking pass.
+
+    The pass keeps each entity's best ``spec.k`` candidates, so the reports
+    hold what ``top_k`` of the full table would, and items are built only for
+    the survivors.  An entity absent from every baseline cell gets an empty
+    report.
+    """
+    ranking = Ranking(index, baseline, spec)
+    best = ranking.best
+    return [ranking.report(entity, best.pop(entity, [])) for entity in ranking.entities]

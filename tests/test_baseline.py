@@ -4,7 +4,6 @@ import pytest
 
 from comborank import (
     AnalysisSpec,
-    CategoryMarginals,
     ConfigError,
     EmptyCategoryError,
     generate_baseline,
@@ -15,13 +14,11 @@ from comborank.ingest import ingest_lines
 
 from fixture_logs import tiny_browser_log
 
-WEB_MARGINALS = CategoryMarginals(
-    {
-        "Browser": {"Firefox": 100, "Safari": 80, "Edge": 10},
-        "Country": {"US": 90, "UK": 70, "DE": 5},
-        "ContentType": {"text/html": 120, "image/jpeg": 60, "application/json": 3},
-    }
-)
+WEB_MARGINALS = {
+    "Browser": {"Firefox": 100, "Safari": 80, "Edge": 10},
+    "Country": {"US": 90, "UK": 70, "DE": 5},
+    "ContentType": {"text/html": 120, "image/jpeg": 60, "application/json": 3},
+}
 
 
 class TestTopValues:
@@ -29,7 +26,7 @@ class TestTopValues:
         assert top_p_values(WEB_MARGINALS, "Browser", 2) == ["Firefox", "Safari"]
 
     def test_ties_break_lexicographically(self):
-        marginals = CategoryMarginals({"c": {"zeta": 5, "alpha": 5, "mid": 5}})
+        marginals = {"c": {"zeta": 5, "alpha": 5, "mid": 5}}
         assert top_p_values(marginals, "c", 2) == ["alpha", "mid"]
 
     def test_p_beyond_cardinality(self):
@@ -71,13 +68,13 @@ class TestGenerateBaseline:
     def test_empty_category_raises(self):
         spec = AnalysisSpec(categories=("c",), entity_field="e")
         with pytest.raises(EmptyCategoryError):
-            generate_baseline(CategoryMarginals({"c": {}}), spec)
+            generate_baseline({"c": {}}, spec)
 
     def test_tiny_log_end_to_end(self):
         lines, mapping, spec = tiny_browser_log()
         marginals, _ = ingest_lines(lines, spec, mapping)
-        assert marginals.counts["Browser"] == {"F": 5, "S": 3, "C": 1}
-        assert marginals.counts["Country"] == {"US": 6, "UK": 3}
+        assert marginals["Browser"] == {"F": 5, "S": 3, "C": 1}
+        assert marginals["Country"] == {"US": 6, "UK": 3}
         baseline = generate_baseline(marginals, spec)
         assert baseline.combinations == frozenset({("F", "US"), ("S", "US")})
 

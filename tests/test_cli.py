@@ -1,3 +1,4 @@
+import ast
 import gc
 import gzip
 import json
@@ -37,7 +38,7 @@ from comborank.cli import (
 from comborank.config import AnalysisSpec, RunSettings
 from comborank.synthgen import config_to_json, generate_log, oracle_recommend, synthetic_config
 
-from fixture_logs import ENTITY_A, RANK_PROFILE_COLUMNS, rank_profile_log
+from fixture_logs import ENTITY_A, RANK_PROFILE_COLUMNS, rank_profile_log, tiny_browser_log
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +172,22 @@ class TestCommands:
         explanations = list((out_dir / "explanations").iterdir())
         assert len(explanations) == 1
         assert any(p.suffix == ".svg" for p in explanations[0].iterdir())
+
+    def test_explain_rerun_leaves_only_its_own_charts(self, sample_log, analysis_conf, tmp_path):
+        out_dir = tmp_path / "out"
+        argv = ["--config", str(analysis_conf), "--input", str(sample_log), "--out", str(out_dir)]
+        assert main(["recommend", *argv, "--k", "5"]) == EXIT_OK
+        doc = json.loads((out_dir / "reports.json").read_text())
+        target = next(e["entity"] for e in doc["entities"] if len(e["items"]) == 5)
+        for k in (5, 1):
+            assert main(["explain", target, *argv, "--k", str(k)]) == EXIT_OK
+            [entity_dir] = (out_dir / "explanations").iterdir()
+            listing = json.loads((entity_dir / "explanation.json").read_text())
+            assert len(listing["anomaly_charts"]) == k
+        charts = listing["baseline_charts"] + listing["anomaly_charts"]
+        assert sorted(p.name for p in entity_dir.iterdir()) == sorted(
+            ["explanation.json", *(entry["file"] for entry in charts)]
+        )
 
     def test_explain_unknown_entity(self, sample_log, analysis_conf, tmp_path):
         out_dir = tmp_path / "out"
@@ -356,6 +373,23 @@ class TestAllOrNothingArtifacts:
                 main(failing)
         else:
             assert main(failing) == EXIT_INTERNAL
+        assert self._contents(out_dir) == before
+
+    def test_failed_discover_keeps_the_previous_baseline(self, sample_log, tmp_path, monkeypatch):
+        out_dir = tmp_path / "out"
+        argv = ["discover", "--input", str(sample_log), "--out", str(out_dir), *self._ARGV]
+        assert main(argv) == EXIT_OK
+        before = self._contents(out_dir)
+        assert sorted(before) == ["baseline.json"]
+        write = cli_module._write_baseline
+
+        def write_half_then_fail(baseline, path):
+            write(baseline, path)
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(cli_module, "_write_baseline", write_half_then_fail)
+        assert main([*argv, "--p", "1"]) == EXIT_INTERNAL
         assert self._contents(out_dir) == before
 
     def test_json_run_removes_a_stale_csv(self, sample_log, tmp_path):
@@ -620,15 +654,35 @@ def test_explain_loads_no_openssl(tmp_path):
 def test_public_api_is_pinned():
     """Growing or shrinking the package surface has to show up in this list."""
     assert sorted(comborank.__all__) == [
-        "AnalysisSpec", "AnomalyItem", "BaselineSet", "CategoryMarginals", "ChartData",
-        "ConfigError", "ContingencyIndex", "EmptyCategoryError", "EntityAnomalyReport",
-        "FieldMapping", "RunSettings", "SchemaMismatch", "baseline_stats",
-        "compute_distances", "emit_report", "explain", "generate_baseline", "ingest_lines",
-        "ingest_paths", "merge_indexes", "mrr_from_ranks", "rank_ordering",
-        "recommend_all", "render_chart", "resolve_mapping", "settings_from_file", "top_k",
-        "top_p_values", "write_explanation",
+        "AnalysisSpec", "AnomalyItem", "BaselineSet", "ConfigError", "ContingencyIndex",
+        "EmptyCategoryError", "EntityAnomalyReport", "FieldMapping", "RunSettings",
+        "SchemaMismatch", "emit_report", "generate_baseline", "ingest_lines", "ingest_paths",
+        "mrr_from_ranks", "rank_ordering", "recommend_all", "resolve_mapping",
+        "settings_from_file", "top_p_values",
     ]
     assert all(hasattr(comborank, name) for name in comborank.__all__)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    """README's "Library use" block runs as written and imports only names in ``__all__``."""
+    readme = (_SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "comborank"
+        for alias in node.names
+    ]
+    assert imported and set(imported) <= set(comborank.__all__)
+    lines, mapping, _spec = tiny_browser_log()
+    (tmp_path / "access.csv").write_text(
+        ",".join(mapping.column_names) + "\n" + "\n".join(lines) + "\n", encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed] == ["x1", "x2"]
 
 
 def test_demo_recovers_its_plants(tmp_path):

@@ -10,16 +10,21 @@ from hypothesis import strategies as st
 
 from comborank import (
     AnomalyItem,
-    ChartData,
     EntityAnomalyReport,
     emit_report,
-    explain,
     generate_baseline,
     recommend_all,
+)
+from comborank import explain as explain_module
+from comborank.explain import (
+    ChartData,
+    _escape_text,
+    _slug,
+    combination_slug,
+    explain,
     render_chart,
     write_explanation,
 )
-from comborank.explain import _escape_text, _slug, combination_slug
 from comborank.ingest import ingest_lines
 
 from fixture_logs import ENTITY_A, rank_profile_log
@@ -275,6 +280,28 @@ class TestWriteExplanation:
             assert int(marker.get("data-rank")) == entry["rank"]
         for entry in listing["anomaly_charts"]:
             assert "distance" in entry
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
+    def test_failed_write_keeps_the_previous_directory(self, tmp_path, monkeypatch, error):
+        index, baseline, reports = _pipeline()
+        bundle = explain(ENTITY_A, reports[ENTITY_A], index, baseline)
+        target = write_explanation(bundle, tmp_path)
+        before = {path.name: path.read_bytes() for path in target.iterdir()}
+        drawn = []
+
+        def fail_on_third(chart):
+            drawn.append(chart)
+            if len(drawn) == 3:
+                raise error
+            return render_chart(chart)
+
+        monkeypatch.setattr(explain_module, "render_chart", fail_on_third)
+        # Other counts, so every chart this run draws differs from the one on disk.
+        recounted = tuple(c._replace(focal_count=c.focal_count + 1) for c in bundle.baseline_charts)
+        with pytest.raises(type(error)):
+            write_explanation(bundle._replace(baseline_charts=recounted), tmp_path)
+        assert [path.name for path in tmp_path.iterdir()] == [target.name]
+        assert {path.name: path.read_bytes() for path in target.iterdir()} == before
 
     def test_slugs_disambiguate_similar_values(self):
         assert combination_slug(("a/b", "c")) != combination_slug(("a_b", "c"))

@@ -17,11 +17,11 @@ from comborank import (
     generate_baseline,
     ingest_lines,
     ingest_paths,
-    merge_indexes,
     recommend_all,
     resolve_mapping,
 )
 from comborank import ingest as ingest_module
+from comborank.ingest import _add_cells
 from comborank.synthgen import oracle_recommend
 
 MAPPING = FieldMapping(("Browser", "Country", "Customer"))
@@ -65,8 +65,8 @@ class TestAggregate:
     def test_counts_cells_and_marginals(self):
         lines = ["F,US,x1", "F,US,x2", "F,UK,x1", "S,US,x1"]
         marginals, index = ingest_lines(lines, SPEC, MAPPING)
-        assert marginals.counts["Browser"] == {"F": 3, "S": 1}
-        assert marginals.counts["Country"] == {"US": 3, "UK": 1}
+        assert marginals["Browser"] == {"F": 3, "S": 1}
+        assert marginals["Country"] == {"US": 3, "UK": 1}
         assert index.cells[("F", "US")] == {"x1": 1, "x2": 1}
         assert index.cells[("S", "US")] == {"x1": 1}
         assert index.total_records == 4
@@ -77,37 +77,41 @@ class TestAggregate:
         mapping = FieldMapping(("Browser", "Noise", "Country", "Customer"))
         marginals, index = ingest_lines(["F,zzz,US,x1"], SPEC, mapping)
         assert index.cells == {("F", "US"): {"x1": 1}}
-        assert "zzz" not in str(marginals.counts)
+        assert "zzz" not in str(marginals)
 
     def test_lines_route_counts_rejections(self):
         lines = ["F,US,x1", "garbage", "F,UK,x2", "a,b,c,d"]
         marginals, index = ingest_lines(lines, SPEC, MAPPING)
         assert index.total_records == 2
         assert index.rejected_records == 2
-        assert marginals.counts["Browser"] == {"F": 2}
+        assert marginals["Browser"] == {"F": 2}
+
+
+def _merged(*cell_maps):
+    """What the worker merge makes of ``cell_maps``: all added, in order, into empty cells."""
+    cells = {}
+    for other in cell_maps:
+        _add_cells(cells, other)
+    return cells
 
 
 class TestMerge:
-    def test_index_merge(self):
-        a = ContingencyIndex(("c",), "e", {("x",): {"e1": 1}}, 1, 0)
-        b = ContingencyIndex(("c",), "e", {("x",): {"e1": 2, "e2": 1}, ("y",): {"e1": 1}}, 4, 1)
-        merged = merge_indexes(a, b)
-        assert merged.cells == {("x",): {"e1": 3, "e2": 1}, ("y",): {"e1": 1}}
-        assert merged.total_records == 5
-        assert merged.rejected_records == 1
+    """``_add_cells``, the merge that adds a byte-range worker's cells into the parent's."""
 
-    def test_index_schema_mismatch(self):
-        a = ContingencyIndex(("c",), "e")
-        b = ContingencyIndex(("c", "d"), "e")
-        with pytest.raises(SchemaMismatch):
-            merge_indexes(a, b)
+    def test_index_merge(self):
+        a = {("x",): {"e1": 1}}
+        b = {("x",): {"e1": 2, "e2": 1}, ("y",): {"e1": 1}}
+        assert _merged(a, b) == {("x",): {"e1": 3, "e2": 1}, ("y",): {"e1": 1}}
 
     def test_merge_does_not_mutate_inputs(self):
-        a = ContingencyIndex(("c",), "e", {("x",): {"e1": 1}}, 1, 0)
-        b = ContingencyIndex(("c",), "e", {("x",): {"e1": 1}}, 1, 0)
-        merge_indexes(a, b)
-        assert a.cells == {("x",): {"e1": 1}}
-        assert b.cells == {("x",): {"e1": 1}}
+        a = {("x",): {"e1": 1}}
+        b = {("x",): {"e1": 1}}
+        merged = _merged(a, b)
+        assert merged == {("x",): {"e1": 2}}
+        assert a == {("x",): {"e1": 1}}
+        assert b == {("x",): {"e1": 1}}
+        merged[("x",)]["e1"] += 1
+        assert a == {("x",): {"e1": 1}}
 
 
 _value = st.text(alphabet="abcXY ", min_size=0, max_size=4)
@@ -122,7 +126,7 @@ def _assert_same_index(index_a, index_b):
 
 
 def _assert_same_aggregates(result_a, result_b):
-    assert result_a[0].counts == result_b[0].counts
+    assert result_a[0] == result_b[0]
     _assert_same_index(result_a[1], result_b[1])
 
 
@@ -155,34 +159,39 @@ def _assert_matches_lines_and_oracle(path, lines, *, header, spec=SPEC, mapping=
 
 
 class TestMergeProperties:
+    """The cells ``_add_cells`` merges, and the summed totals, form a monoid."""
+
     @given(_lines, _lines)
     def test_merge_commutes(self, lines_a, lines_b):
         _, idx_a = ingest_lines(lines_a, SPEC, MAPPING)
         _, idx_b = ingest_lines(lines_b, SPEC, MAPPING)
-        _assert_same_index(merge_indexes(idx_a, idx_b), merge_indexes(idx_b, idx_a))
+        assert _merged(idx_a.cells, idx_b.cells) == _merged(idx_b.cells, idx_a.cells)
 
     @given(_lines, _lines, _lines)
     def test_merge_associates(self, la, lb, lc):
-        parts = [ingest_lines(lines, SPEC, MAPPING)[1] for lines in (la, lb, lc)]
-        left = merge_indexes(merge_indexes(parts[0], parts[1]), parts[2])
-        right = merge_indexes(parts[0], merge_indexes(parts[1], parts[2]))
-        _assert_same_index(left, right)
+        a, b, c = [ingest_lines(lines, SPEC, MAPPING)[1].cells for lines in (la, lb, lc)]
+        assert _merged(_merged(a, b), c) == _merged(a, _merged(b, c))
 
     @given(_lines)
     def test_empty_is_identity(self, lines):
         _, idx = ingest_lines(lines, SPEC, MAPPING)
         _, empty = ingest_lines([], SPEC, MAPPING)
-        _assert_same_index(merge_indexes(idx, empty), idx)
+        assert _merged(idx.cells, empty.cells) == _merged(empty.cells, idx.cells) == idx.cells
 
     @given(_lines, st.data())
     def test_chunked_equals_whole(self, lines, data):
         cuts = sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=4)))
         bounds = [0, *cuts, len(lines)]
         _, whole = ingest_lines(lines, SPEC, MAPPING)
-        _, merged = ingest_lines([], SPEC, MAPPING)
+        cells = {}
+        total = rejected = 0
         for lo, hi in zip(bounds, bounds[1:]):
-            merged = merge_indexes(merged, ingest_lines(lines[lo:hi], SPEC, MAPPING)[1])
-        _assert_same_index(merged, whole)
+            _, part = ingest_lines(lines[lo:hi], SPEC, MAPPING)
+            _add_cells(cells, part.cells)
+            total += part.total_records
+            rejected += part.rejected_records
+        assert cells == whole.cells
+        assert (total, rejected) == (whole.total_records, whole.rejected_records)
 
 
 def _assert_names_shared(index):
@@ -218,21 +227,22 @@ class TestSharedNames:
             assert index.total_records == 3000
             _assert_names_shared(index)
 
-    def test_merge_indexes(self):
+    def test_add_cells(self):
         def fresh(name):
             # A new string object on every call, never an interned one.
             return "".join(list(name))
 
-        def index(rows):
-            cells = {}
+        def cells(rows):
+            built = {}
             for browser, country, customer in rows:
-                cell = cells.setdefault((fresh(browser), fresh(country)), {})
+                cell = built.setdefault((fresh(browser), fresh(country)), {})
                 cell[fresh(customer)] = 1
-            return ContingencyIndex(SPEC.categories, SPEC.entity_field, cells, len(rows), 0)
+            return built
 
         rows = [(f"br{i % 3}", f"co{i % 2}", f"cust{i % 5}") for i in range(30)]
-        a, b = index(rows[:15]), index(rows[15:])
-        merged = merge_indexes(a, b)
+        merged = ContingencyIndex(
+            SPEC.categories, SPEC.entity_field, _merged(cells(rows[:15]), cells(rows[15:])), 30
+        )
         assert len(merged.entities()) == 5
         _assert_names_shared(merged)
 

@@ -4,15 +4,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from comborank import (
-    BaselineSet,
-    ContingencyIndex,
+from comborank import BaselineSet, ContingencyIndex, mrr_from_ranks, rank_ordering
+from comborank.rankstats import (
+    _baseline_ranks,
+    _best_candidates,
+    _ranked,
     baseline_stats,
     compute_distances,
-    mrr_from_ranks,
-    rank_ordering,
 )
-from comborank.rankstats import _baseline_ranks, _best_candidates, _ranked
 
 
 def _index(cells: dict) -> ContingencyIndex:

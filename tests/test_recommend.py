@@ -11,15 +11,13 @@ from comborank import (
     BaselineSet,
     ContingencyIndex,
     FieldMapping,
-    baseline_stats,
-    compute_distances,
     emit_report,
     generate_baseline,
     ingest_lines,
     recommend_all,
-    top_k,
 )
-from comborank.recommend import Ranking, rank_reports
+from comborank.rankstats import baseline_stats, compute_distances
+from comborank.recommend import Ranking, top_k
 from comborank import reports as reports_module
 from comborank.reports import write_ranking
 from comborank.synthgen import oracle_recommend
@@ -187,14 +185,14 @@ class TestReportWriter:
         st.data(),
     )
     def test_writes_what_emit_report_gives(self, cells, k, batch, data):
-        """The pass-driven writer's bytes equal ``emit_report`` of ``rank_reports``, both formats.
+        """The pass-driven writer's bytes equal ``emit_report`` of ``recommend_all``, both formats.
 
         Batches of one and two entities put batch ends inside both arrays.
         """
         index = _index(cells)
         baseline = _baseline(data.draw(st.sets(st.sampled_from(sorted(cells)), min_size=1)))
         spec = AnalysisSpec(("C1", "C2"), "E", k=k)
-        reports = list(rank_reports(index, baseline, spec))
+        reports = recommend_all(index, baseline, spec)
         json_text, csv_text = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(reports_module, "_BATCH", batch)
