@@ -1,7 +1,7 @@
 """End-to-end demo: synthesize a log with planted anomalies, then find them.
 
 Generates a seeded workload, runs the full pipeline, prints the report for
-each planted entity, and writes artifacts plus one explanation bundle.
+each planted entity, and writes the artifacts with the planted entities' charts.
 
     python3 scripts/demo_pipeline.py --out demo_out
 """
@@ -12,7 +12,6 @@ from pathlib import Path
 
 from comborank import RunSettings
 from comborank.cli import RunConfig, run_pipeline
-from comborank.explain import explain, write_explanation
 from comborank.synthgen import generate_log, planted_config
 
 
@@ -56,9 +55,6 @@ def main(argv: list[str] | None = None) -> int:
             flag = "  <- planted" if item.combination == plant.combination else ""
             print(f"  {'/'.join(item.combination):<40} distance={item.distance:.4f} "
                   f"rank={item.rank}/{item.cohort_size}{flag}")
-        bundle = explain(plant.entity, report, result.index, result.baseline)
-        target = write_explanation(bundle, args.out / "explanations")
-        print(f"  charts -> {target}")
     print(f"\nrecovered {hit} of {len(manifest.planted)} planted combinations in the top 5")
     return 0 if hit == len(manifest.planted) else 1
 

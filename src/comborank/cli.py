@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import zlib
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .baseline import BaselineSet, baseline_as_dict, generate_baseline
 from .config import (
@@ -30,12 +29,15 @@ from .config import (
 )
 from .ingest import ContingencyIndex, SchemaMismatch, ingest_paths, resolve_mapping
 from .recommend import EntityAnomalyReport, Ranking
-from .reports import write_ranking
+from .reports import all_or_nothing, write_ranking
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# What a run leaves in --out; each command commits its own and removes the rest.
+_ARTIFACTS = ("baseline.json", "reports.json", "reports.csv", "explanations")
 
 
 class UsageError(Exception):
@@ -85,7 +87,7 @@ class BenchResult(NamedTuple):
 class PipelineResult:
     """What a run has computed and written; ``discover`` leaves the last three empty.
 
-    ``written`` lists the files ``run_pipeline`` wrote, ``count`` is the
+    ``written`` lists the artifacts ``run_pipeline`` wrote, ``count`` is the
     number of reports in them and ``kept`` maps each entity it was asked to
     keep to its report.
     """
@@ -151,39 +153,19 @@ def _write_baseline(baseline: BaselineSet, path: Path) -> None:
     )
 
 
-@contextmanager
-def _all_or_nothing(paths: Sequence[Path]) -> Iterator[list[Path]]:
-    """Temporary names beside ``paths``, renamed onto them once the block completes.
-
-    The directory is created if need be.  On any exception,
-    ``KeyboardInterrupt`` included, the temporaries are removed and the
-    files at ``paths`` stay as they were.
-    """
-    staged = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
-    paths[0].parent.mkdir(parents=True, exist_ok=True)
-    try:
-        yield staged
-        for temporary, path in zip(staged, paths):
-            os.replace(temporary, path)
-    except BaseException:
-        for temporary in staged:
-            temporary.unlink(missing_ok=True)
-        raise
-
-
 def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
     """Discover, then rank straight into the artifacts; raises InputError on bad input.
 
-    Writes baseline.json, reports.json and, for the csv format, reports.csv
-    in ``config.out_dir``, and removes a reports.csv that an earlier run
-    left there otherwise.  The report files are written from the ranking
-    pass in entity order, a batch of entities at a time; report objects are
+    Writes baseline.json, reports.json, for the csv format reports.csv, and
+    for the entities in ``keep`` their charts in explanations/, in
+    ``config.out_dir``.  The report files are written from the ranking pass
+    in entity order, a batch of entities at a time; report objects are
     built only for the entities in ``keep``.  Each of those must occur in
     the input; that is checked before anything is written.
 
-    The files are all or nothing (``_all_or_nothing``): they are renamed
-    into place after the last report, and a failed run leaves the earlier
-    run's files as they were.  ``rank_s`` covers ranking and writing.
+    The artifacts are committed as one (``all_or_nothing``), and those of
+    ``_ARTIFACTS`` the run did not write are removed; a failed run leaves
+    the earlier ones as they were.  ``rank_s`` covers ranking and writing.
     """
     wanted = sorted(set(keep))
     result = discover(config)
@@ -191,22 +173,22 @@ def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
         if not result.index.observes(entity):
             raise InputError(f"entity {entity!r} not observed in the input")
     started = time.perf_counter()
-    out_dir = config.out_dir
-    csv = config.report_format == "csv"
-    names = ("baseline.json", "reports.json", "reports.csv")[: 3 if csv else 2]
-    result.written = [out_dir / name for name in names]
-    with _all_or_nothing(result.written) as staged:
+    artifacts = [config.out_dir / name for name in _ARTIFACTS]
+    with all_or_nothing(artifacts) as staged:
         _write_baseline(result.baseline, staged[0])
         ranking = Ranking(result.index, result.baseline, result.spec)
         result.count = len(ranking.entities)
         result.kept = {entity: ranking.report(entity) for entity in wanted}
+        reports = staged[1:3] if config.report_format == "csv" else staged[1:2]
         with ExitStack() as stack:
-            handles = [
-                stack.enter_context(open(path, "w", encoding="utf-8")) for path in staged[1:]
-            ]
+            handles = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in reports]
             write_ranking(ranking, *handles)
-    if not csv:
-        (out_dir / "reports.csv").unlink(missing_ok=True)
+        if wanted:
+            # The chart module is loaded only here, so recommend never compiles it.
+            from .explain import explain, write_explanation
+            for entity, report in result.kept.items():
+                write_explanation(explain(entity, report, result.index, result.baseline), staged[3])
+    result.written = [path for path in artifacts if path.exists()]
     result.times.rank_s = time.perf_counter() - started
     return result
 
@@ -256,15 +238,15 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 def cmd_discover(args: argparse.Namespace) -> int:
     config = _run_config(args)
     result = discover(config)
-    baseline_path = config.out_dir / "baseline.json"
-    with _all_or_nothing([baseline_path]) as (staged,):
-        _write_baseline(result.baseline, staged)
+    artifacts = [config.out_dir / name for name in _ARTIFACTS]
+    with all_or_nothing(artifacts) as staged:
+        _write_baseline(result.baseline, staged[0])
     index = result.index
     print(
         f"ingest: {index.total_records} records ({index.rejected_records} rejected), "
         f"baseline: {result.baseline.size} expected combinations"
     )
-    print(f"wrote {baseline_path}")
+    print(f"wrote {artifacts[0]}")
     return EXIT_OK
 
 
@@ -275,18 +257,12 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    # The chart module is loaded only here, so recommend never compiles it.
-    from .explain import explain, write_explanation
-
     config = _run_config(args)
     result = run_pipeline(config, (args.entity,))
-    bundle = explain(args.entity, result.kept[args.entity], result.index, result.baseline)
-    target = write_explanation(bundle, config.out_dir / "explanations")
+    report = result.kept[args.entity]
     _print_summary(result, config.threads)
-    print(
-        f"wrote {target} ({len(bundle.baseline_charts)} baseline charts, "
-        f"{len(bundle.anomaly_charts)} anomaly charts)"
-    )
+    charts = f"{report.baseline_presence} baseline charts, {len(report.items)} anomaly charts"
+    print(f"explained {args.entity}: {charts}")
     return EXIT_OK
 
 
@@ -304,10 +280,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         raise InputError(str(exc)) from exc
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "synthetic_log.csv"
     manifest_path = out_dir / "plant_manifest.json"
-    manifest = generate_log(config, log_path, manifest_path)
+    with all_or_nothing([log_path, manifest_path]) as staged:
+        manifest = generate_log(config, *staged)
     planted_lines = sum(p.records for p in manifest.planted)
     print(
         f"wrote {log_path} ({manifest.total_entries} background entries, "

@@ -13,18 +13,16 @@ Only ``explain`` calls load this module.  Report documents are written by
 from __future__ import annotations
 
 import json
-import os
 import re
 from _blake2 import blake2s  # hashlib's own blake2s, without loading OpenSSL
 from pathlib import Path
-from shutil import rmtree
 from typing import NamedTuple, Sequence
 
 from .baseline import BaselineSet
 from .ingest import ContingencyIndex
 from .rankstats import rank_ordering
 from .recommend import EntityAnomalyReport
-from .reports import SCHEMA_VERSION, emit_report  # noqa: F401 - emit_report is served from here too
+from .reports import SCHEMA_VERSION, all_or_nothing, emit_report  # noqa: F401
 
 _CHART_WIDTH = 960
 _CHART_HEIGHT = 340
@@ -245,27 +243,14 @@ def _chart_index_entry(chart: ChartData, filename: str) -> dict:
 def write_explanation(bundle: ExplanationBundle, out_dir: str | Path) -> Path:
     """Write one entity's charts and a JSON index; returns the entity directory.
 
-    The directory is all or nothing.  It is written under a temporary name
-    in ``out_dir`` and swapped into place once complete, so an earlier run's
+    The directory is all or nothing (``all_or_nothing``): an earlier run's
     directory for the entity is replaced whole, none of its charts left
-    behind.  On any exception, ``KeyboardInterrupt`` included, the temporary
-    is removed and the earlier directory stays as it was.
+    behind, and a failed write leaves it as it was.
     """
     target = Path(out_dir) / _slug(bundle.entity)
-    staged = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    aside = target.with_name(f".{target.name}.{os.getpid()}.old")
-    try:
-        staged.mkdir(parents=True)
+    with all_or_nothing([target]) as (staged,):
+        staged.mkdir()
         _write_charts(bundle, staged)
-        if target.exists():
-            os.rename(target, aside)
-        os.rename(staged, target)
-    except BaseException:
-        if aside.exists() and not target.exists():
-            os.rename(aside, target)
-        rmtree(staged, ignore_errors=True)
-        raise
-    rmtree(aside, ignore_errors=True)
     return target
 
 

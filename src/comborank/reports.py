@@ -13,15 +13,20 @@ values with ``|``.
 Two callers share the templates and the document assembly:
 ``write_ranking``, the one loop that writes a run's report files straight
 from the ranking pass's MRRs and heaps, and ``emit_report``, which
-serializes any list of report objects.
+serializes any list of report objects.  ``all_or_nothing`` commits the
+files and directories a command writes.
 """
 
 from __future__ import annotations
 
 import io
+import os
+from contextlib import contextmanager
 from csv import writer as csv_writer
 from json.encoder import encode_basestring as _json_string
 from operator import attrgetter
+from pathlib import Path
+from shutil import rmtree
 from typing import IO, Iterable, Iterator, Sequence
 
 from .recommend import EntityAnomalyReport, Ranking
@@ -214,3 +219,39 @@ def emit_report(reports: Sequence[EntityAnomalyReport], format: str = "json") ->
                 for i in report.items
             )
     return buffer.getvalue()
+
+
+@contextmanager
+def all_or_nothing(paths: Sequence[Path]) -> Iterator[list[Path]]:
+    """Temporary names beside ``paths`` for the block to fill with files or directories.
+
+    Once the block completes, each filled temporary replaces its path (an
+    old directory is moved aside, then removed), then each path whose
+    temporary is unfilled is removed.  On any exception, ``KeyboardInterrupt``
+    included, the temporaries are removed and the paths stay as they were.
+    """
+    staged = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
+    aside: list[tuple[Path, Path]] = []
+    try:
+        yield staged
+        # Filled temporaries first: commit what the block wrote, then remove the rest.
+        for temporary, path in sorted(zip(staged, paths), key=lambda pair: not pair[0].exists()):
+            if path.is_dir():
+                old = path.with_name(f".{path.name}.{os.getpid()}.old")
+                os.rename(path, old)
+                aside.append((old, path))
+            if temporary.exists():
+                os.replace(temporary, path)
+            else:
+                path.unlink(missing_ok=True)
+    except BaseException:
+        for old, path in aside:
+            if not path.exists():
+                os.rename(old, path)
+        for temporary in staged:
+            rmtree(temporary, ignore_errors=True)  # leaves a file, which unlink removes
+            temporary.unlink(missing_ok=True)
+        raise
+    for old, _path in aside:
+        rmtree(old, ignore_errors=True)

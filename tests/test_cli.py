@@ -20,6 +20,7 @@ from comborank import (
     resolve_mapping,
 )
 from comborank import cli as cli_module
+from comborank import explain as explain_module
 from comborank import ingest as ingest_module
 from comborank import reports as reports_module
 from comborank.cli import (
@@ -37,6 +38,7 @@ from comborank.cli import (
 )
 from comborank.config import AnalysisSpec, RunSettings
 from comborank.synthgen import config_to_json, generate_log, oracle_recommend, synthetic_config
+from comborank.synthgen import generator as generator_module
 
 from fixture_logs import ENTITY_A, RANK_PROFILE_COLUMNS, rank_profile_log, tiny_browser_log
 
@@ -339,7 +341,7 @@ class _FailAfter(list):
 
 
 class TestAllOrNothingArtifacts:
-    """A run replaces the report files only once all of them are written."""
+    """A run replaces its artifacts only once all of them are written, and leaves no other."""
 
     _ARGV = ["--categories", "cat1,cat2,cat3,cat4", "--entity", "entity"]
 
@@ -357,7 +359,11 @@ class TestAllOrNothingArtifacts:
 
     @staticmethod
     def _contents(out_dir):
-        return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+        """Every path under ``out_dir``, relative, with a file's bytes (None for a directory)."""
+        return {
+            path.relative_to(out_dir).as_posix(): path.read_bytes() if path.is_file() else None
+            for path in sorted(out_dir.rglob("*"))
+        }
 
     @pytest.mark.parametrize("error", [MemoryError("ranking"), KeyboardInterrupt()])
     def test_failed_run_keeps_the_previous_files(self, sample_log, tmp_path, monkeypatch, error):
@@ -390,6 +396,86 @@ class TestAllOrNothingArtifacts:
 
         monkeypatch.setattr(cli_module, "_write_baseline", write_half_then_fail)
         assert main([*argv, "--p", "1"]) == EXIT_INTERNAL
+        assert self._contents(out_dir) == before
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
+    def test_failed_charts_keep_the_previous_run(self, sample_log, tmp_path, monkeypatch, error):
+        out_dir = tmp_path / "out"
+        argv = ["--input", str(sample_log), "--out", str(out_dir), *self._ARGV]
+        assert main(["recommend", *argv, "--k", "5"]) == EXIT_OK
+        doc = json.loads((out_dir / "reports.json").read_text())
+        target = next(
+            e["entity"] for e in doc["entities"]
+            if len(e["items"]) == 5 and e["baseline_presence"] >= 2
+        )
+        assert main(["explain", target, *argv, "--k", "5"]) == EXIT_OK
+        before = self._contents(out_dir)
+        render_chart = explain_module.render_chart
+        drawn = []
+
+        def fail_on_third(chart):
+            drawn.append(chart)
+            if len(drawn) == 3:
+                raise error
+            return render_chart(chart)
+
+        monkeypatch.setattr(explain_module, "render_chart", fail_on_third)
+        failing = ["explain", target, *argv, "--k", "1"]
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(failing)
+        else:
+            assert main(failing) == EXIT_INPUT
+        assert len(drawn) == 3
+        assert self._contents(out_dir) == before
+
+    @pytest.mark.parametrize(
+        "first, second, left",
+        [
+            (
+                ["recommend", "--p", "2", "--format", "csv"],
+                ["discover", "--p", "1"],
+                ["baseline.json"],
+            ),
+            (["explain", "e000"], ["recommend"], ["baseline.json", "reports.json"]),
+        ],
+    )
+    def test_a_run_removes_the_artifacts_it_did_not_write(
+        self, sample_log, tmp_path, first, second, left
+    ):
+        out_dir = tmp_path / "out"
+        argv = ["--input", str(sample_log), "--out", str(out_dir), *self._ARGV]
+        assert main([*first, *argv]) == EXIT_OK
+        assert len(self._contents(out_dir)) > len(left)
+        assert main([*second, *argv]) == EXIT_OK
+        assert list(self._contents(out_dir)) == left
+
+    def test_explain_replaces_another_entitys_charts(self, sample_log, tmp_path):
+        out_dir = tmp_path / "out"
+        argv = ["--input", str(sample_log), "--out", str(out_dir), *self._ARGV]
+        assert main(["explain", "e000", *argv]) == EXIT_OK
+        assert main(["explain", "e001", *argv]) == EXIT_OK
+        [entity_dir] = (out_dir / "explanations").iterdir()
+        assert entity_dir.name.startswith("e001.")
+        listing = json.loads((entity_dir / "explanation.json").read_text())
+        assert listing["entity"] == "e001"
+
+    def test_failed_synth_keeps_the_previous_log(self, tmp_path, monkeypatch):
+        out_dir = tmp_path / "data"
+        gen_conf = tmp_path / "gen.json"
+        argv = ["synth", "--config", str(gen_conf), "--out", str(out_dir)]
+        gen_conf.write_text(config_to_json(synthetic_config(seed=33, total_entries=800)))
+        assert main(argv) == EXIT_OK
+        before = self._contents(out_dir)
+        assert list(before) == ["plant_manifest.json", "synthetic_log.csv"]
+
+        def fail(manifest):
+            raise OSError("disk full")
+
+        # The log is written whole before the manifest fails.
+        monkeypatch.setattr(generator_module, "manifest_to_json", fail)
+        gen_conf.write_text(config_to_json(synthetic_config(seed=34, total_entries=900)))
+        assert main(argv) == EXIT_INPUT
         assert self._contents(out_dir) == before
 
     def test_json_run_removes_a_stale_csv(self, sample_log, tmp_path):
@@ -702,3 +788,21 @@ def test_demo_recovers_its_plants(tmp_path):
     assert rc == EXIT_OK
     for name in ("reports.json", "reports.csv"):
         assert (demo_out / name).read_bytes() == (out_dir / name).read_bytes(), name
+    planted = json.loads((demo_out / "plant_manifest.json").read_text())["planted"]
+    demo_charts = demo_out / "explanations"
+    assert len(list(demo_charts.iterdir())) == len(planted) == 2
+    for plant in planted:
+        explain_out = tmp_path / f"explain-{plant['entity']}"
+        rc = main([
+            "explain", plant["entity"], "--input", str(demo_out / "synthetic_log.csv"),
+            "--out", str(explain_out), "--categories", "cat1,cat2,cat3,cat4",
+            "--entity", "entity", "--p", "2", "--k", "5", "--min-support", "10",
+        ])
+        assert rc == EXIT_OK
+        [entity_dir] = (explain_out / "explanations").iterdir()
+        files = sorted(path.name for path in entity_dir.iterdir())
+        assert sorted(path.name for path in (demo_charts / entity_dir.name).iterdir()) == files
+        for name in files:
+            assert (demo_charts / entity_dir.name / name).read_bytes() == (
+                entity_dir / name
+            ).read_bytes(), name
