@@ -29,7 +29,7 @@ from .config import (
 )
 from .ingest import ContingencyIndex, SchemaMismatch, ingest_paths, resolve_mapping
 from .recommend import EntityAnomalyReport, Ranking
-from .reports import all_or_nothing, write_ranking
+from .reports import all_or_nothing, write_reports
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,7 +129,6 @@ def discover(config: RunConfig) -> PipelineResult:
             missing_token=settings.missing_token,
         )
         spec = settings.analysis_spec()
-        spec.validate_mapping(mapping)
         started = time.perf_counter()
         marginals, index = ingest_paths(
             inputs, spec, mapping, header=settings.header, workers=config.threads
@@ -158,10 +157,10 @@ def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
 
     Writes baseline.json, reports.json, for the csv format reports.csv, and
     for the entities in ``keep`` their charts in explanations/, in
-    ``config.out_dir``.  The report files are written from the ranking pass
-    in entity order, a batch of entities at a time; report objects are
-    built only for the entities in ``keep``.  Each of those must occur in
-    the input; that is checked before anything is written.
+    ``config.out_dir``.  The report files are written from the ranking's
+    report rows in entity order, a batch of entities at a time; report
+    objects are built only for the entities in ``keep``.  Each of those
+    must occur in the input; that is checked before anything is written.
 
     The artifacts are committed as one (``all_or_nothing``), and those of
     ``_ARTIFACTS`` the run did not write are removed; a failed run leaves
@@ -178,11 +177,11 @@ def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
         _write_baseline(result.baseline, staged[0])
         ranking = Ranking(result.index, result.baseline, result.spec)
         result.count = len(ranking.entities)
-        result.kept = {entity: ranking.report(entity) for entity in wanted}
+        result.kept = {row[0]: EntityAnomalyReport._make(row) for row in ranking.reports(wanted)}
         reports = staged[1:3] if config.report_format == "csv" else staged[1:2]
         with ExitStack() as stack:
             handles = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in reports]
-            write_ranking(ranking, *handles)
+            write_reports(ranking.reports(ranking.entities), *handles)
         if wanted:
             # The chart module is loaded only here, so recommend never compiles it.
             from .explain import explain, write_explanation

@@ -118,11 +118,6 @@ class AnalysisSpec:
         self.k = k
         self.min_support = min_support
 
-    def validate_mapping(self, mapping: FieldMapping) -> None:
-        """Raise ConfigError unless every analysed column exists in the mapping."""
-        for name in (*self.categories, self.entity_field):
-            mapping.index_of(name)
-
 
 class RunSettings:
     """Everything a run needs, merged from the config file and CLI flags.

@@ -234,49 +234,34 @@ def _range_texts(handle: IO[bytes], start: int, end: float) -> Iterator[str]:
 
     A line straddling ``end`` belongs to this range; a line straddling
     ``start`` belongs to the previous one, so the ranges of a file partition
-    its lines exactly once.  ``handle`` is read in ``_BLOCK_BYTES`` blocks,
-    each cut after its last ``\\n`` and the rest kept pending for the next
-    one.  A ``\\n`` byte never falls inside a UTF-8 sequence or between ``\\r``
-    and ``\\n``, so the pieces decode and split exactly as the whole range
-    would.  Only the block just read is searched, and pending pieces are
-    joined once, so a line longer than a block (or a log ending lines with a
-    lone ``\\r``) costs time linear in its length.
+    its lines exactly once.  Both edge lines are read with ``readline``, so
+    each is held whole, skipped or owned.  Between them ``handle`` is read
+    in ``_BLOCK_BYTES`` blocks, each cut after its last ``\\n`` and the rest
+    kept pending for the next one.  A ``\\n`` byte never falls inside a UTF-8
+    sequence or between ``\\r`` and ``\\n``, so the pieces decode and split
+    exactly as the whole range would.  Only the block just read is searched,
+    and pending pieces are joined once, so a line longer than a block (or a
+    log ending lines with a lone ``\\r``) costs time linear in its length.
     """
-    owns_first = True
     if start:
         handle.seek(start - 1)
-        owns_first = handle.read(1) == b"\n"
-    left = end - start
+        handle.readline()  # the end of the previous range's last line, or its ``\\n``
+    left = end - handle.tell()
     pending: list[bytes] = []
     while left > 0:
         block = handle.read(min(_BLOCK_BYTES, left))
         if not block:
             break
         left -= len(block)
-        if not owns_first:
-            cut = block.find(b"\n")
-            if cut < 0:
-                continue
-            block = block[cut + 1 :]
-            owns_first = True
         cut = block.rfind(b"\n") + 1
         if cut:
             pending.append(block[:cut])
             yield b"".join(pending).decode("utf-8", errors="replace")
             pending = []
         pending.append(block[cut:])
-    if not any(pending):
-        return
-    while True:
-        block = handle.read(_MIN_CHUNK_BYTES)
-        if not block:
-            break
-        cut = block.find(b"\n")
-        if cut >= 0:
-            pending.append(block[: cut + 1])
-            break
-        pending.append(block)
-    yield b"".join(pending).decode("utf-8", errors="replace")
+    if any(pending):
+        pending.append(handle.readline())
+        yield b"".join(pending).decode("utf-8", errors="replace")
 
 
 def _read_lines(handle: IO[bytes], start: int, end: float, header: bool) -> Iterator[str]:

@@ -16,9 +16,10 @@ how far the entity sits from where its baseline behaviour says it should.
 
 One pass scores and orders the candidates: ``_best_candidates`` ranks each
 scored cohort once and keeps each entity's best k candidates in a heap.
-``recommend.Ranking`` runs it with the analysis's k; ``reports.write_ranking``
-writes the run's files from it and ``recommend.recommend_all`` lists its
-reports.  The full-table names, views of the same pass that the benchmark
+``recommend.Ranking`` runs it with the analysis's k, and its ``reports``
+reads the heaps through ``_items``, the one place that knows their layout.
+The run's files and ``recommend.recommend_all`` both take their reports from
+it.  The full-table names, views of the same pass that the benchmark
 uses and ``comborank.__all__`` leaves out, are these: ``baseline_stats``
 gives the reports' baseline summaries without items, ``compute_distances``
 runs the pass with k at the number of scored cohorts so that every
@@ -258,7 +259,10 @@ def _best_candidates(
 
 
 def _items(heap: list[_Candidate], cohorts: _Cohorts) -> tuple[AnomalyItem, ...]:
-    """A heap's candidates as items in report order: distance descending, then combination."""
+    """A heap's candidates as items in report order: distance descending, then combination.
+
+    The heap is sorted in place, so reading it again gives the same items.
+    """
     heap.sort(reverse=True)
     items = []
     for distance, negative_position, rr, rank, count in heap:

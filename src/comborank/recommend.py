@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import islice
+from typing import Iterable, Iterator
 
 from .baseline import BaselineSet
 from .config import AnalysisSpec
@@ -38,7 +39,7 @@ def top_k(entity: str, table: DistanceTable, k: int) -> EntityAnomalyReport:
 
 
 class Ranking:
-    """What the one ranking pass leaves for the reports to be built from.
+    """What the one ranking pass leaves; ``reports`` reads each entity's report from it.
 
     ``entities`` lists every observed entity in order.  ``presence`` and
     ``mrrs`` hold the baseline summary of each entity present in a baseline
@@ -61,15 +62,21 @@ class Ranking:
         self.cohorts = _scored_cohorts(index, baseline, spec.min_support)
         self.best = _best_candidates(self.cohorts, self.mrrs, spec.k)
 
-    def report(self, entity: str, heap: list | None = None) -> EntityAnomalyReport:
-        """``entity``'s report, from ``heap`` if given, else from its heap in ``best``."""
-        mrr = self.mrrs.get(entity)
-        if mrr is None:
-            return EntityAnomalyReport(entity, None, None, 0, ())
-        if heap is None:
-            heap = self.best.get(entity, [])
-        items = _items(heap, self.cohorts)
-        return EntityAnomalyReport(entity, mrr, 1.0 / mrr, self.presence[entity], items)
+    def reports(self, entities: Iterable[str]) -> Iterator[tuple]:
+        """Each of ``entities``' reports, as a plain tuple in ``EntityAnomalyReport`` field order.
+
+        This is the one reader of the heaps: items come from ``_items``, in
+        report order.  An entity without an MRR gets an empty report.
+        """
+        mrrs, presence, best, cohorts = self.mrrs, self.presence, self.best, self.cohorts
+        for entity in entities:
+            mrr = mrrs.get(entity)
+            if mrr is None:
+                yield entity, None, None, 0, ()
+            else:
+                heap = best.get(entity)
+                items = _items(heap, cohorts) if heap else ()
+                yield entity, mrr, 1.0 / mrr, presence[entity], items
 
 
 def recommend_all(
@@ -85,5 +92,4 @@ def recommend_all(
     report.
     """
     ranking = Ranking(index, baseline, spec)
-    best = ranking.best
-    return [ranking.report(entity, best.pop(entity, [])) for entity in ranking.entities]
+    return list(map(EntityAnomalyReport._make, ranking.reports(ranking.entities)))

@@ -10,11 +10,10 @@ positive ranks.  The CSV view has one row per item (entities without items
 do not appear) with floats at six significant digits, and joins combination
 values with ``|``.
 
-Two callers share the templates and the document assembly:
-``write_ranking``, the one loop that writes a run's report files straight
-from the ranking pass's MRRs and heaps, and ``emit_report``, which
-serializes any list of report objects.  ``all_or_nothing`` commits the
-files and directories a command writes.
+``write_reports`` is the one writer of both.  A run writes its report files
+through it straight from the rows of ``recommend.Ranking.reports``, and
+``emit_report`` serializes any reports through it, in entity order.
+``all_or_nothing`` commits the files and directories a command writes.
 """
 
 from __future__ import annotations
@@ -29,27 +28,24 @@ from pathlib import Path
 from shutil import rmtree
 from typing import IO, Iterable, Iterator, Sequence
 
-from .recommend import EntityAnomalyReport, Ranking
+from .recommend import EntityAnomalyReport
 
 SCHEMA_VERSION = 1
 
 # Entities per batch of encoded text joined and written at once.
 _BATCH = 256
 
-# One entity's entry in the ``entities`` array, keys sorted.  ``_SCORED``
-# takes the numbers of an entity with a baseline, ``_ABSENT`` only the name
-# of one without: no presence, no items and no MRR.
+# One entity's entry in the ``entities`` array, keys sorted.  ``expected_rank``
+# and ``mrr`` come in as text, so that either may be ``null``.
 _ENTRY = (
     "{\n"
-    '      "baseline_presence": %s,\n'
+    '      "baseline_presence": %r,\n'
     '      "entity": %s,\n'
     '      "expected_rank": %s,\n'
     '      "items": %s,\n'
     '      "mrr": %s\n'
     "    }"
 )
-_SCORED = _ENTRY % ("%r", "%s", "%r", "%s", "%r")
-_ABSENT = _ENTRY % ("0", "%s", "null", "[]", "null")
 _ITEM = (
     "{\n"
     '          "cohort_size": %r,\n'
@@ -72,28 +68,6 @@ def _combination(values: Sequence[str]) -> str:
     if not values:
         return "[]"
     return "[\n            " + ",\n            ".join(map(_json_string, values)) + "\n          ]"
-
-
-def _items_array(encoded: list[str]) -> str:
-    if not encoded:
-        return "[]"
-    return "[\n        " + ",\n        ".join(encoded) + "\n      ]"
-
-
-def _entry(report: EntityAnomalyReport) -> str:
-    """Any report's entry, whichever of its numbers are null."""
-    mrr, expected = report.mrr, report.expected_rank
-    items = [
-        _ITEM % (i.cohort_size, _combination(i.combination), i.count, i.distance, i.rank, i.rr)
-        for i in report.items
-    ]
-    return _ENTRY % (
-        repr(report.baseline_presence),
-        _json_string(report.entity),
-        "null" if expected is None else repr(expected),
-        _items_array(items),
-        "null" if mrr is None else repr(mrr),
-    )
 
 
 def _array(key: str, batches: Iterable[list[str]]) -> Iterator[str]:
@@ -128,62 +102,47 @@ def _csv_rows(handle: IO[str]):
     return rows
 
 
-def _csv_head(entity: str, mrr: float, expected: float) -> tuple[str, str, str]:
-    return entity, f"{mrr:.6g}", f"{expected:.6g}"
-
-
-def _csv_item(
-    head: tuple[str, str, str],
-    combination: Sequence[str],
-    distance: float,
-    rr: float,
-    rank: int,
-    cohort_size: int,
-    count: int,
-) -> tuple:
-    return (*head, "|".join(combination), f"{distance:.6g}", f"{rr:.6g}", rank, cohort_size, count)
-
-
-def write_ranking(
-    ranking: Ranking, json_handle: IO[str], csv_handle: IO[str] | None = None
+def write_reports(
+    reports: Iterable[tuple], json_handle: IO[str], csv_handle: IO[str] | None = None
 ) -> None:
-    """Write every entity's report in entity order: the one report-writing loop.
+    """Write ``reports`` in the order given: the one report writer.
 
-    Entries are formatted straight from the pass's MRRs and heaps, so no
-    report object is built.  Each heap is popped as its entity is written,
-    and text is joined and written a batch of entities at a time, so memory
-    is the index, the heaps not yet written and one batch.  Only the names of
-    entities with no baseline are kept past their batch, for the closing
-    ``no_baseline_presence`` array.  Given ``csv_handle``, the CSV view is
-    written in the same loop.
+    ``reports`` are ``EntityAnomalyReport``s or plain tuples in its field
+    order, as ``Ranking.reports`` yields them; a null MRR or expected rank
+    is written as ``null``.  Text is joined and written a batch of entities
+    at a time, so memory is what the reports are read from plus one batch.
+    Only the names of entities with no MRR are kept past their batch, for
+    the closing ``no_baseline_presence`` array.  Given ``csv_handle``, the
+    CSV view is written in the same loop.
     """
-    mrrs, presence, cohorts, best = ranking.mrrs, ranking.presence, ranking.cohorts, ranking.best
     rows = None if csv_handle is None else _csv_rows(csv_handle)
     absent: list[str] = []
 
     def batches() -> Iterator[list[str]]:
         batch: list[str] = []
         lines: list[tuple] = []
-        for entity in ranking.entities:
-            mrr = mrrs.get(entity)
+        for entity, mrr, expected, presence, items in reports:
             if mrr is None:
                 absent.append(entity)
-                batch.append(_ABSENT % _json_string(entity))
-            else:
-                expected = 1.0 / mrr
-                heap = best.pop(entity, None)
-                items = []
-                if heap:
-                    heap.sort(reverse=True)
-                    head = None if rows is None else _csv_head(entity, mrr, expected)
-                    for distance, position, rr, rank, count in heap:
-                        combo, cell = cohorts[-position]
-                        size = len(cell)
-                        items.append(_ITEM % (size, _combination(combo), count, distance, rank, rr))
-                        if head is not None:
-                            lines.append(_csv_item(head, combo, distance, rr, rank, size, count))
-                name = _json_string(entity)
-                batch.append(_SCORED % (presence[entity], name, expected, _items_array(items), mrr))
+            listed = "[]"
+            if items:
+                encoded = []
+                head = None if rows is None else (entity, f"{mrr:.6g}", f"{expected:.6g}")
+                for combo, distance, rr, rank, size, count in items:
+                    encoded.append(_ITEM % (size, _combination(combo), count, distance, rank, rr))
+                    if head is not None:
+                        numbers = f"{distance:.6g}", f"{rr:.6g}", rank, size, count
+                        lines.append((*head, "|".join(combo), *numbers))
+                listed = "[\n        " + ",\n        ".join(encoded) + "\n      ]"
+            batch.append(
+                _ENTRY % (
+                    presence,
+                    _json_string(entity),
+                    "null" if expected is None else repr(expected),
+                    listed,
+                    "null" if mrr is None else repr(mrr),
+                )
+            )
             if len(batch) == _BATCH:
                 if rows is not None:
                     rows.writerows(lines)
@@ -197,28 +156,50 @@ def write_ranking(
     json_handle.writelines(_document(batches(), absent))
 
 
-def emit_report(reports: Sequence[EntityAnomalyReport], format: str = "json") -> str:
-    """Serialize any reports canonically; "json" round-trips, "csv" flattens items.
+def emit_report(reports: Iterable[EntityAnomalyReport], format: str = "json") -> str:
+    """Serialize any reports canonically, in entity order.
 
-    The text is what ``write_ranking`` writes for the same reports, from the
-    same templates and document assembly.
+    "json" round-trips; "csv" flattens the items, one row each.
     """
-    ordered = sorted(reports, key=_ENTITY)
-    if format == "json":
-        absent = [report.entity for report in ordered if report.mrr is None]
-        return "".join(_document([[_entry(report) for report in ordered]], absent))
-    if format != "csv":
+    if format not in ("json", "csv"):
         raise ValueError(f"unknown report format {format!r}")
-    buffer = io.StringIO()
-    rows = _csv_rows(buffer)
-    for report in ordered:
-        if report.items:
-            head = _csv_head(report.entity, report.mrr, report.expected_rank)
-            rows.writerows(
-                _csv_item(head, i.combination, i.distance, i.rr, i.rank, i.cohort_size, i.count)
-                for i in report.items
-            )
-    return buffer.getvalue()
+    text = io.StringIO()
+    # The writer always writes the JSON document; for "csv" it goes to a buffer that is dropped.
+    handles = (text,) if format == "json" else (io.StringIO(), text)
+    write_reports(sorted(reports, key=_ENTITY), *handles)
+    return text.getvalue()
+
+
+def _remove(path: Path) -> None:
+    rmtree(path, ignore_errors=True)  # leaves a file, which unlink removes
+    path.unlink(missing_ok=True)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # signal 0 only checks that the process exists
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:
+        return True  # another user's process
+    return True
+
+
+def _remove_stale_temporaries(paths: Sequence[Path]) -> None:
+    """Remove the temporaries beside ``paths`` that a killed run left behind.
+
+    ``all_or_nothing`` names them ``.<name>.<pid>.tmp`` and ``.<name>.<pid>.old``;
+    those of a process that is still running are left alone.  Only POSIX
+    has a signal that checks a process without acting on it.
+    """
+    if os.name != "posix":
+        return
+    names = {f".{path.name}" for path in paths}
+    for entry in paths[0].parent.iterdir():
+        rest, _, suffix = entry.name.rpartition(".")
+        name, _, pid = rest.rpartition(".")
+        if name in names and suffix in ("tmp", "old") and pid.isdecimal() and not _alive(int(pid)):
+            _remove(entry)
 
 
 @contextmanager
@@ -229,9 +210,12 @@ def all_or_nothing(paths: Sequence[Path]) -> Iterator[list[Path]]:
     old directory is moved aside, then removed), then each path whose
     temporary is unfilled is removed.  On any exception, ``KeyboardInterrupt``
     included, the temporaries are removed and the paths stay as they were.
+    Temporaries that an earlier, killed run left beside ``paths`` are
+    removed first.
     """
     staged = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     paths[0].parent.mkdir(parents=True, exist_ok=True)
+    _remove_stale_temporaries(paths)
     aside: list[tuple[Path, Path]] = []
     try:
         yield staged
@@ -250,8 +234,7 @@ def all_or_nothing(paths: Sequence[Path]) -> Iterator[list[Path]]:
             if not path.exists():
                 os.rename(old, path)
         for temporary in staged:
-            rmtree(temporary, ignore_errors=True)  # leaves a file, which unlink removes
-            temporary.unlink(missing_ok=True)
+            _remove(temporary)
         raise
     for old, _path in aside:
         rmtree(old, ignore_errors=True)

@@ -460,6 +460,25 @@ class TestAllOrNothingArtifacts:
         listing = json.loads((entity_dir / "explanation.json").read_text())
         assert listing["entity"] == "e001"
 
+    def test_a_run_removes_the_temporaries_of_killed_runs(self, sample_log, tmp_path):
+        """A dead process's temporaries go; a running one's stay, as it may still commit them."""
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        child = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True, text=True, check=True,
+        )
+        dead, live = int(child.stdout), os.getppid()
+        (out_dir / f".reports.json.{dead}.tmp").write_text("{")
+        (out_dir / f".explanations.{dead}.tmp" / "e000.x").mkdir(parents=True)
+        (out_dir / f".explanations.{dead}.old").mkdir()
+        (out_dir / f".reports.json.{live}.tmp").write_text("{")
+        argv = ["recommend", "--input", str(sample_log), "--out", str(out_dir), *self._ARGV]
+        assert main(argv) == EXIT_OK
+        assert list(self._contents(out_dir)) == [
+            f".reports.json.{live}.tmp", "baseline.json", "reports.json"
+        ]
+
     def test_failed_synth_keeps_the_previous_log(self, tmp_path, monkeypatch):
         out_dir = tmp_path / "data"
         gen_conf = tmp_path / "gen.json"

@@ -11,6 +11,7 @@ from comborank.config import (
     parse_p,
     settings_from_file,
 )
+from comborank.ingest import ingest_lines
 
 
 class TestFieldMapping:
@@ -78,10 +79,11 @@ class TestAnalysisSpec:
             AnalysisSpec(categories=("a", "a"), entity_field="e")
 
     def test_validate_mapping(self):
+        """Ingest checks the analysed columns against the mapping before it reads a line."""
         spec = AnalysisSpec(categories=("a",), entity_field="e")
-        spec.validate_mapping(FieldMapping(("a", "e")))
-        with pytest.raises(ConfigError):
-            spec.validate_mapping(FieldMapping(("a", "x")))
+        ingest_lines([], spec, FieldMapping(("a", "e")))
+        with pytest.raises(ConfigError, match="column 'e' not in mapping"):
+            ingest_lines([], spec, FieldMapping(("a", "x")))
 
 
 class TestKeyValueParsing:

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import html
+import io
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -82,6 +84,23 @@ def _reference_json(reports) -> str:
         "no_baseline_presence": [r.entity for r in ordered if r.mrr is None],
     }
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def _reference_csv(reports) -> str:
+    """The CSV view as ``csv.writer`` writes rows built from the report fields."""
+    text = io.StringIO()
+    rows = csv.writer(text, lineterminator="\n")
+    rows.writerow(
+        ["entity", "mrr", "expected_rank", "combination", "distance", "rr", "rank",
+         "cohort_size", "count"]
+    )
+    for r in sorted(reports, key=lambda r: r.entity):
+        for item in r.items:
+            rows.writerow([
+                r.entity, f"{r.mrr:.6g}", f"{r.expected_rank:.6g}", "|".join(item.combination),
+                f"{item.distance:.6g}", f"{item.rr:.6g}", item.rank, item.cohort_size, item.count,
+            ])
+    return text.getvalue()
 
 
 # Quotes, backslashes, control characters, line and paragraph separators and
@@ -258,6 +277,7 @@ class TestReportDocuments:
         expected_rows = sum(len(r.items) for r in ordered)
         assert len(lines) == expected_rows + 1
         assert lines[0].startswith("entity,mrr,expected_rank,combination,distance")
+        assert text == _reference_csv(ordered)
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown report format"):

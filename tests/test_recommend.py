@@ -19,8 +19,10 @@ from comborank import (
 from comborank.rankstats import baseline_stats, compute_distances
 from comborank.recommend import Ranking, top_k
 from comborank import reports as reports_module
-from comborank.reports import write_ranking
+from comborank.reports import write_reports
 from comborank.synthgen import oracle_recommend
+
+from test_explain import _reference_csv, _reference_json
 
 
 def _index(cells: dict) -> ContingencyIndex:
@@ -184,8 +186,8 @@ class TestReportWriter:
         st.sampled_from([1, 2, 256]),
         st.data(),
     )
-    def test_writes_what_emit_report_gives(self, cells, k, batch, data):
-        """The pass-driven writer's bytes equal ``emit_report`` of ``recommend_all``, both formats.
+    def test_writes_what_the_standard_library_gives(self, cells, k, batch, data):
+        """The writer's bytes for the ranking's rows equal ``json.dumps`` and ``csv.writer``'s.
 
         Batches of one and two entities put batch ends inside both arrays.
         """
@@ -193,9 +195,10 @@ class TestReportWriter:
         baseline = _baseline(data.draw(st.sets(st.sampled_from(sorted(cells)), min_size=1)))
         spec = AnalysisSpec(("C1", "C2"), "E", k=k)
         reports = recommend_all(index, baseline, spec)
+        ranking = Ranking(index, baseline, spec)
         json_text, csv_text = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(reports_module, "_BATCH", batch)
-            write_ranking(Ranking(index, baseline, spec), json_text, csv_text)
-        assert json_text.getvalue() == emit_report(reports, "json")
-        assert csv_text.getvalue() == emit_report(reports, "csv")
+            write_reports(ranking.reports(ranking.entities), json_text, csv_text)
+        assert json_text.getvalue() == _reference_json(reports)
+        assert csv_text.getvalue() == _reference_csv(reports)
