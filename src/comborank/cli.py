@@ -28,7 +28,7 @@ from .config import (
     settings_from_file,
 )
 from .ingest import ContingencyIndex, SchemaMismatch, ingest_paths, resolve_mapping
-from .recommend import EntityAnomalyReport, Ranking
+from .rankstats import EntityAnomalyReport, Ranking
 from .reports import all_or_nothing, write_reports
 
 EXIT_OK = 0
@@ -117,24 +117,25 @@ def _resolve_inputs(paths: Sequence[str | Path]) -> tuple[Path, ...]:
 
 
 def discover(config: RunConfig) -> PipelineResult:
-    """Ingest and baseline, without reports; raises InputError on bad input."""
+    """Ingest and baseline, without reports; a missing input or an empty log raises InputError.
+
+    What reading raises propagates (ConfigError, OSError, SchemaMismatch, and
+    EOFError or zlib.error from a damaged gzip input); ``main`` maps each to exit 2.
+    """
     inputs = _resolve_inputs(config.inputs)
     settings = config.settings
-    try:
-        mapping = resolve_mapping(
-            inputs[0],
-            delimiter=settings.delimiter,
-            header=settings.header,
-            columns=settings.columns,
-            missing_token=settings.missing_token,
-        )
-        spec = settings.analysis_spec()
-        started = time.perf_counter()
-        marginals, index = ingest_paths(
-            inputs, spec, mapping, header=settings.header, workers=config.threads
-        )
-    except (ConfigError, OSError) as exc:
-        raise InputError(str(exc)) from exc
+    mapping = resolve_mapping(
+        inputs[0],
+        delimiter=settings.delimiter,
+        header=settings.header,
+        columns=settings.columns,
+        missing_token=settings.missing_token,
+    )
+    spec = settings.analysis_spec()
+    started = time.perf_counter()
+    marginals, index = ingest_paths(
+        inputs, spec, mapping, header=settings.header, workers=config.threads
+    )
     times = StageTimes(ingest_s=time.perf_counter() - started)
     if index.total_records == 0:
         raise InputError("no accepted records in input (empty log or every line malformed)")
@@ -153,7 +154,7 @@ def _write_baseline(baseline: BaselineSet, path: Path) -> None:
 
 
 def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
-    """Discover, then rank straight into the artifacts; raises InputError on bad input.
+    """Discover, then rank straight into the artifacts; bad input raises as in ``discover``.
 
     Writes baseline.json, reports.json, for the csv format reports.csv, and
     for the entities in ``keep`` their charts in explanations/, in
@@ -274,10 +275,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     if not config_path.is_file():
         raise InputError(f"generator config not found: {config_path}")
-    try:
-        config = config_from_json(config_path.read_text(encoding="utf-8"))
-    except ConfigError as exc:
-        raise InputError(str(exc)) from exc
+    # An invalid config raises ConfigError, which main maps to exit 2.
+    config = config_from_json(config_path.read_text(encoding="utf-8"))
     out_dir = Path(args.out)
     log_path = out_dir / "synthetic_log.csv"
     manifest_path = out_dir / "plant_manifest.json"

@@ -20,8 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .baseline import BaselineSet
 from .ingest import ContingencyIndex
-from .rankstats import rank_ordering
-from .recommend import EntityAnomalyReport
+from .rankstats import EntityAnomalyReport, rank_ordering
 from .reports import SCHEMA_VERSION, all_or_nothing, emit_report  # noqa: F401
 
 _CHART_WIDTH = 960
@@ -88,7 +87,8 @@ def _chart_for(
     ordering = rank_ordering(index, combination)
     series = tuple((e, count) for e, count, _rank in ordering.entries)
     rank = ordering.ranks[entity]
-    count = index.cells[combination][entity]
+    # A tie block starts at its rank's position, so that entry holds the entity's count.
+    count = ordering.entries[rank - 1][1]
     return ChartData(combination, series, entity, rank, count, distance)
 
 
@@ -101,12 +101,11 @@ def explain(
     """Assemble the cohort evidence behind one entity's report."""
     if report.entity != entity:
         raise ValueError(f"report is for {report.entity!r}, not {entity!r}")
-    baseline_charts: list[ChartData] = []
-    for combo in baseline.sorted_combinations():
-        cell = index.cells.get(combo)
-        if not cell or entity not in cell:
-            continue
-        baseline_charts.append(_chart_for(index, combo, entity, None))
+    baseline_charts = [
+        _chart_for(index, combo, entity, None)
+        for combo in baseline.sorted_combinations()
+        if index.holds(combo, entity)
+    ]
     if not baseline_charts and not report.items and not index.observes(entity):
         raise KeyError(f"entity {entity!r} not observed in the index")
     anomaly_charts = tuple(

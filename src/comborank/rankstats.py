@@ -16,15 +16,16 @@ how far the entity sits from where its baseline behaviour says it should.
 
 One pass scores and orders the candidates: ``_best_candidates`` ranks each
 scored cohort once and keeps each entity's best k candidates in a heap.
-``recommend.Ranking`` runs it with the analysis's k, and its ``reports``
-reads the heaps through ``_items``, the one place that knows their layout.
-The run's files and ``recommend.recommend_all`` both take their reports from
-it.  The full-table names, views of the same pass that the benchmark
-uses and ``comborank.__all__`` leaves out, are these: ``baseline_stats``
-gives the reports' baseline summaries without items, ``compute_distances``
-runs the pass with k at the number of scored cohorts so that every
-candidate is kept, and ``recommend.top_k`` takes the first k of an entity's
-row.
+``Ranking`` runs it with the analysis's k, and its ``reports`` reads the
+heaps through ``_items``, the one place that knows their layout.  The run's
+files and ``recommend.recommend_all`` both take their reports from it.  The
+full-table names, views of the same pass that the benchmark uses and
+``comborank.__all__`` leaves out, are these: ``baseline_stats`` gives the
+reports' baseline summaries without items, ``compute_distances`` runs the
+pass with k at the number of scored cohorts so that every candidate is
+kept, and ``recommend.top_k`` takes the first k of an entity's row.
+
+This module and ``ingest`` are the only readers of ``ContingencyIndex.cells``.
 
 All reciprocal-rank sums go through ``math.fsum``, which is exactly rounded
 and therefore insensitive to accumulation order.  Combined with integer
@@ -38,9 +39,10 @@ from bisect import bisect_right
 from heapq import heappush, heapreplace
 from math import fsum
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .baseline import BaselineSet
+from .config import AnalysisSpec
 from .ingest import ContingencyIndex
 
 
@@ -133,13 +135,15 @@ class EntityAnomalyReport(NamedTuple):
     items: tuple[AnomalyItem, ...]
 
 
-def _baseline_ranks(index: ContingencyIndex, baseline: BaselineSet) -> dict[str, list[int]]:
-    """Each entity's ranks in the observed baseline cells, for entities present in one.
+def _baseline_summary(
+    index: ContingencyIndex, baseline: BaselineSet
+) -> tuple[dict[str, int], dict[str, float]]:
+    """Each entity's baseline presence and MRR, for entities present in an observed baseline cell.
 
     Each observed baseline cell's counts are sorted once and every entity's
     rank read from them, so the cost is one sort per baseline cell instead
     of one per (entity, cell) pair.  Entities absent from every baseline
-    cell get no entry.
+    cell get no entry.  The per-entity rank lists are freed on return.
     """
     if not baseline.combinations:
         raise ValueError("baseline set is empty")
@@ -157,18 +161,19 @@ def _baseline_ranks(index: ContingencyIndex, baseline: BaselineSet) -> dict[str,
                 per_entity[entity] = [rank]
             else:
                 ranks.append(rank)
-    return per_entity
+    presence = {entity: len(ranks) for entity, ranks in per_entity.items()}
+    mrrs = {entity: mrr_from_ranks(ranks) for entity, ranks in per_entity.items()}
+    return presence, mrrs
 
 
 def baseline_stats(index: ContingencyIndex, baseline: BaselineSet) -> dict[str, EntityAnomalyReport]:
     """Every observed entity's baseline summary, as a report without items."""
-    per_entity = _baseline_ranks(index, baseline)
+    presence, mrrs = _baseline_summary(index, baseline)
     stats = {}
     for entity in sorted(index.entities()):
-        ranks = per_entity.get(entity, ())
-        mrr = mrr_from_ranks(ranks)
+        mrr = mrrs.get(entity)
         expected = None if mrr is None else 1.0 / mrr
-        stats[entity] = EntityAnomalyReport(entity, mrr, expected, len(ranks), ())
+        stats[entity] = EntityAnomalyReport(entity, mrr, expected, presence.get(entity, 0), ())
     return stats
 
 
@@ -292,3 +297,41 @@ def compute_distances(
         # Popped, so each heap is freed as its row is built.
         by_entity[entity] = {item.combination: item for item in _items(best.pop(entity), cohorts)}
     return DistanceTable(by_entity, stats)
+
+
+class Ranking:
+    """What the one ranking pass leaves; ``reports`` reads each entity's report from it.
+
+    ``entities`` lists every observed entity in order.  ``presence`` and
+    ``mrrs`` hold the baseline summary of each entity present in a baseline
+    cell, and ``best`` maps it to its best k candidates, a heap whose
+    positions point into ``cohorts``.  An entity without an MRR has no
+    baseline presence, no items and no heap.
+    """
+
+    __slots__ = ("entities", "presence", "mrrs", "cohorts", "best")
+
+    def __init__(self, index: ContingencyIndex, baseline: BaselineSet, spec: AnalysisSpec) -> None:
+        if index.total_records == 0:
+            raise ValueError("empty index: no accepted records to analyse")
+        # Sorted first, so the set of names is freed before the heaps are built.
+        self.entities = sorted(index.entities())
+        self.presence, self.mrrs = _baseline_summary(index, baseline)
+        self.cohorts = _scored_cohorts(index, baseline, spec.min_support)
+        self.best = _best_candidates(self.cohorts, self.mrrs, spec.k)
+
+    def reports(self, entities: Iterable[str]) -> Iterator[tuple]:
+        """Each of ``entities``' reports, as a plain tuple in ``EntityAnomalyReport`` field order.
+
+        This is the one reader of the heaps: items come from ``_items``, in
+        report order.  An entity without an MRR gets an empty report.
+        """
+        mrrs, presence, best, cohorts = self.mrrs, self.presence, self.best, self.cohorts
+        for entity in entities:
+            mrr = mrrs.get(entity)
+            if mrr is None:
+                yield entity, None, None, 0, ()
+            else:
+                heap = best.get(entity)
+                items = _items(heap, cohorts) if heap else ()
+                yield entity, mrr, 1.0 / mrr, presence[entity], items

@@ -3,21 +3,12 @@
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Iterator
 
 from .baseline import BaselineSet
 from .config import AnalysisSpec
 from .ingest import ContingencyIndex
-from .rankstats import (
-    AnomalyItem,  # re-exported with EntityAnomalyReport, the report types
-    DistanceTable,
-    EntityAnomalyReport,
-    _baseline_ranks,
-    _best_candidates,
-    _items,
-    _scored_cohorts,
-    mrr_from_ranks,
-)
+# AnomalyItem is re-exported with EntityAnomalyReport: the report types.
+from .rankstats import AnomalyItem, DistanceTable, EntityAnomalyReport, Ranking
 
 
 def top_k(entity: str, table: DistanceTable, k: int) -> EntityAnomalyReport:
@@ -36,47 +27,6 @@ def top_k(entity: str, table: DistanceTable, k: int) -> EntityAnomalyReport:
     if not candidates:
         return stats
     return stats._replace(items=tuple(islice(candidates.values(), k)))
-
-
-class Ranking:
-    """What the one ranking pass leaves; ``reports`` reads each entity's report from it.
-
-    ``entities`` lists every observed entity in order.  ``presence`` and
-    ``mrrs`` hold the baseline summary of each entity present in a baseline
-    cell, and ``best`` maps it to its best k candidates, a heap whose
-    positions point into ``cohorts``.  An entity without an MRR has no
-    baseline presence, no items and no heap.
-    """
-
-    __slots__ = ("entities", "presence", "mrrs", "cohorts", "best")
-
-    def __init__(self, index: ContingencyIndex, baseline: BaselineSet, spec: AnalysisSpec) -> None:
-        if index.total_records == 0:
-            raise ValueError("empty index: no accepted records to analyse")
-        # Sorted first, so the set of names is freed before the heaps are built.
-        self.entities = sorted(index.entities())
-        ranks = _baseline_ranks(index, baseline)
-        self.presence = {entity: len(entity_ranks) for entity, entity_ranks in ranks.items()}
-        self.mrrs = {entity: mrr_from_ranks(entity_ranks) for entity, entity_ranks in ranks.items()}
-        del ranks  # freed before the heaps are built
-        self.cohorts = _scored_cohorts(index, baseline, spec.min_support)
-        self.best = _best_candidates(self.cohorts, self.mrrs, spec.k)
-
-    def reports(self, entities: Iterable[str]) -> Iterator[tuple]:
-        """Each of ``entities``' reports, as a plain tuple in ``EntityAnomalyReport`` field order.
-
-        This is the one reader of the heaps: items come from ``_items``, in
-        report order.  An entity without an MRR gets an empty report.
-        """
-        mrrs, presence, best, cohorts = self.mrrs, self.presence, self.best, self.cohorts
-        for entity in entities:
-            mrr = mrrs.get(entity)
-            if mrr is None:
-                yield entity, None, None, 0, ()
-            else:
-                heap = best.get(entity)
-                items = _items(heap, cohorts) if heap else ()
-                yield entity, mrr, 1.0 / mrr, presence[entity], items
 
 
 def recommend_all(

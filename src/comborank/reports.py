@@ -11,7 +11,7 @@ do not appear) with floats at six significant digits, and joins combination
 values with ``|``.
 
 ``write_reports`` is the one writer of both.  A run writes its report files
-through it straight from the rows of ``recommend.Ranking.reports``, and
+through it straight from the rows of ``rankstats.Ranking.reports``, and
 ``emit_report`` serializes any reports through it, in entity order.
 ``all_or_nothing`` commits the files and directories a command writes.
 """
@@ -28,7 +28,7 @@ from pathlib import Path
 from shutil import rmtree
 from typing import IO, Iterable, Iterator, Sequence
 
-from .recommend import EntityAnomalyReport
+from .rankstats import EntityAnomalyReport
 
 SCHEMA_VERSION = 1
 
@@ -175,22 +175,27 @@ def _remove(path: Path) -> None:
     path.unlink(missing_ok=True)
 
 
-def _alive(pid: int) -> bool:
+def _stale(pid: int) -> bool:
+    """Whether ``pid`` is this process or no running one."""
+    if pid == os.getpid():
+        return True
     try:
         os.kill(pid, 0)  # signal 0 only checks that the process exists
     except (ProcessLookupError, OverflowError):
-        return False
+        return True
     except PermissionError:
-        return True  # another user's process
-    return True
+        return False  # another user's process
+    return False
 
 
 def _remove_stale_temporaries(paths: Sequence[Path]) -> None:
     """Remove the temporaries beside ``paths`` that a killed run left behind.
 
     ``all_or_nothing`` names them ``.<name>.<pid>.tmp`` and ``.<name>.<pid>.old``;
-    those of a process that is still running are left alone.  Only POSIX
-    has a signal that checks a process without acting on it.
+    those of another process that is still running are left alone.  Nothing
+    is staged yet, so those with this process's pid are a dead process's
+    whose pid was reused (a container's first process is always pid 1).
+    Only POSIX has a signal that checks a process without acting on it.
     """
     if os.name != "posix":
         return
@@ -198,7 +203,7 @@ def _remove_stale_temporaries(paths: Sequence[Path]) -> None:
     for entry in paths[0].parent.iterdir():
         rest, _, suffix = entry.name.rpartition(".")
         name, _, pid = rest.rpartition(".")
-        if name in names and suffix in ("tmp", "old") and pid.isdecimal() and not _alive(int(pid)):
+        if name in names and suffix in ("tmp", "old") and pid.isdecimal() and _stale(int(pid)):
             _remove(entry)
 
 

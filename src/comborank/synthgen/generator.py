@@ -145,9 +145,6 @@ class PlantManifest:
     total_entries: int
     planted: tuple[PlantRecord, ...]
 
-    def pairs(self) -> list[tuple[str, tuple[str, ...]]]:
-        return [(p.entity, p.combination) for p in self.planted]
-
 
 def zipf_weights(count: int, exponent: float = 1.1) -> tuple[float, ...]:
     """Power-law weights: value i gets weight proportional to 1/(i+1)^exponent."""

@@ -479,6 +479,19 @@ class TestAllOrNothingArtifacts:
             f".reports.json.{live}.tmp", "baseline.json", "reports.json"
         ]
 
+    def test_temporaries_carrying_this_process_pid_are_stale(self, sample_log, tmp_path):
+        """A reused pid, as a container's first process always has, commits no earlier leftover."""
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        own = os.getpid()
+        (out_dir / f".reports.csv.{own}.tmp").write_text("entity\n")
+        leftover = out_dir / f".explanations.{own}.tmp" / "someone.deadbeef"
+        leftover.mkdir(parents=True)
+        (leftover / "explanation.json").write_text("{}")
+        argv = ["recommend", "--input", str(sample_log), "--out", str(out_dir), *self._ARGV]
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        assert list(self._contents(out_dir)) == ["baseline.json", "reports.json"]
+
     def test_failed_synth_keeps_the_previous_log(self, tmp_path, monkeypatch):
         out_dir = tmp_path / "data"
         gen_conf = tmp_path / "gen.json"

@@ -147,6 +147,8 @@ class TestExplain:
         for chart in bundle.anomaly_charts:
             assert chart.distance is not None
             assert chart.focal_entity == ENTITY_A
+        for chart in (*bundle.baseline_charts, *bundle.anomaly_charts):
+            assert chart.focal_count == index.cells[chart.combination][ENTITY_A]
 
     def test_report_entity_mismatch(self):
         index, baseline, reports = _pipeline()

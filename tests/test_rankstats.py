@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from comborank import BaselineSet, ContingencyIndex, mrr_from_ranks, rank_ordering
 from comborank.rankstats import (
-    _baseline_ranks,
+    _baseline_summary,
     _best_candidates,
     _ranked,
     baseline_stats,
@@ -210,5 +210,6 @@ class TestRanksFromCounts:
         assert {entity: heap[0][2] for entity, heap in best.items()} == {
             entity: 1.0 / rank for entity, rank in expected.items()
         }
-        ranks = _baseline_ranks(_index({("a", "x"): cell}), _baseline([("a", "x")]))
-        assert ranks == {entity: [rank] for entity, rank in expected.items()}
+        presence, mrrs = _baseline_summary(_index({("a", "x"): cell}), _baseline([("a", "x")]))
+        assert presence == {entity: 1 for entity in expected}
+        assert mrrs == {entity: 1.0 / rank for entity, rank in expected.items()}

@@ -16,8 +16,8 @@ from comborank import (
     ingest_lines,
     recommend_all,
 )
-from comborank.rankstats import baseline_stats, compute_distances
-from comborank.recommend import Ranking, top_k
+from comborank.rankstats import Ranking, baseline_stats, compute_distances
+from comborank.recommend import top_k
 from comborank import reports as reports_module
 from comborank.reports import write_reports
 from comborank.synthgen import oracle_recommend
