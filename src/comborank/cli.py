@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 usage errors (bad flags, missing subcommand),
 2 input or configuration errors (unreadable, truncated or corrupt files,
-an input whose header differs from the first file's, invalid config, empty
-logs, unknown entities), 3 unexpected internal failures.
+an input truncated or replaced while it is read, an input whose header
+differs from the first file's, invalid config, empty logs, unknown
+entities, an --out another run is writing to), 3 unexpected internal
+failures.  A run into a busy --out does not wait: it fails where it would
+start writing, after reading its input.
 """
 
 from __future__ import annotations
@@ -409,7 +412,7 @@ def _analysis_flags(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=partial(_int_flag, least=0),
         default=1,
-        help="worker processes (0 = one per CPU)",
+        help="worker processes (0 = one per usable CPU)",
     )
     parser.add_argument(
         "--categories", type=_name_list_flag, default=None, help="category columns, comma-separated"
@@ -464,7 +467,7 @@ def build_parser() -> _Parser:
         "--threads",
         type=partial(_int_list, least=0),
         default=(1, 2, 4),
-        help="worker counts to compare (0 = one per CPU)",
+        help="worker counts to compare (0 = one per usable CPU)",
     )
     bench.add_argument("--out", default="comborank_out", help="output directory")
     bench.set_defaults(handler=cmd_bench)

@@ -244,7 +244,8 @@ def write_explanation(bundle: ExplanationBundle, out_dir: str | Path) -> Path:
 
     The directory is all or nothing (``all_or_nothing``): an earlier run's
     directory for the entity is replaced whole, none of its charts left
-    behind, and a failed write leaves it as it was.
+    behind, and a failed write leaves it as it was.  ``out_dir`` is locked
+    meanwhile; one that another call holds raises ``BlockingIOError``.
     """
     target = Path(out_dir) / _slug(bundle.entity)
     with all_or_nothing([target]) as (staged,):

@@ -29,11 +29,11 @@ never fatal.
 from __future__ import annotations
 
 import gzip
+import os
 import zlib
 from functools import cache
 from itertools import chain
 from math import inf
-from os import cpu_count
 from pathlib import Path
 from sys import intern
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -45,8 +45,9 @@ _BLOCK_BYTES = 1 << 16
 
 Cells = dict[tuple[str, ...], dict[str, int]]
 
-# What a truncated, corrupt or non-gzip ``.gz`` input raises on read.
-_DAMAGED_GZIP = (EOFError, zlib.error, gzip.BadGzipFile)
+# What a truncated, corrupt or non-gzip ``.gz`` input raises on read; a plain
+# input truncated or replaced while it is read raises ``EOFError`` too.
+_DAMAGED = (EOFError, zlib.error, gzip.BadGzipFile)
 
 
 class SchemaMismatch(ValueError):
@@ -246,6 +247,8 @@ def _range_texts(handle: IO[bytes], start: int, end: float) -> Iterator[str]:
     exactly as the whole range would.  Only the block just read is searched,
     and pending pieces are joined once, so a line longer than a block (or a
     log ending lines with a lone ``\\r``) costs time linear in its length.
+    A finite range that meets the end of the file before ``end`` raises
+    ``EOFError``: the file was truncated after its size was taken.
     """
     if start:
         handle.seek(start - 1)
@@ -255,6 +258,9 @@ def _range_texts(handle: IO[bytes], start: int, end: float) -> Iterator[str]:
     while left > 0:
         block = handle.read(min(_BLOCK_BYTES, left))
         if not block:
+            if end < inf:
+                at = handle.tell()
+                raise EOFError(f"truncated while read: ended at byte {at}, before byte {end}")
             break
         left -= len(block)
         cut = block.rfind(b"\n") + 1
@@ -295,7 +301,7 @@ def read_header(path: str | Path, delimiter: str) -> tuple[str, ...]:
     try:
         with _open_log(Path(path)) as handle:
             first = next(_read_lines(handle, 0, inf, header=False), None)
-    except _DAMAGED_GZIP as exc:
+    except _DAMAGED as exc:
         raise _with_path(exc, path) from exc
     if first is None:
         raise ConfigError(f"{path}: empty file, no header to read")
@@ -331,14 +337,20 @@ def _count_range(
     mapping: FieldMapping,
     used_indexes: tuple[int, ...],
     cells: Cells,
+    identity: tuple[int, int] | None = None,
 ) -> tuple[Cells, int, int]:
     """Count the lines of ``[start, end)`` of ``path`` into ``cells``.
 
     Returns ``cells`` with (accepted, rejected), so that a pool worker given
     fresh cells sends its counts back.  Memory is bounded by the cells plus
-    the lines of one block, whatever the range's size.
+    the lines of one block, whatever the range's size.  Given ``identity``,
+    the ``(st_dev, st_ino)`` the file had when its size was taken, a file
+    opened under another raises ``EOFError``: it was replaced since.
     """
     with _open_log(path) as handle:
+        opened = os.fstat(handle.fileno())
+        if identity is not None and identity != (opened.st_dev, opened.st_ino):
+            raise EOFError("replaced while read: another file now has its name")
         lines = _read_lines(handle, start, end, header)
         total, rejected = _count_lines(lines, mapping, used_indexes, cells)
     return cells, total, rejected
@@ -352,10 +364,13 @@ def _chunk_ranges(size: int, workers: int) -> list[tuple[int, int]]:
 
 
 def resolve_workers(workers: int) -> int:
+    """``workers``, or for 0 the number of CPUs this process may run on."""
     if workers < 0:
         raise ConfigError(f"workers must be >= 0, got {workers}")
     if workers == 0:
-        return cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     return workers
 
 
@@ -370,8 +385,9 @@ def _count_file(
     """Add one log file's lines into ``cells``; returns (accepted, rejected).
 
     A plain file is read up to the size it had after its header check, with
-    any worker count, so lines appended while it is read count for none.
-    Gzip files are read to their end.
+    any worker count, so lines appended while it is read count for none; one
+    truncated or replaced while it is read raises ``EOFError``.  Gzip files
+    are read to their end.  What reading raises starts with ``path``.
     """
     if header:
         observed = read_header(path, mapping.delimiter)
@@ -380,30 +396,34 @@ def _count_file(
                 f"{path}: header {observed} does not match mapping {mapping.column_names}"
             )
 
-    size = inf if _is_gzip(path) else path.stat().st_size
+    status = path.stat()
+    identity = status.st_dev, status.st_ino
+    size = inf if _is_gzip(path) else status.st_size
     ranges = [] if size == inf else _chunk_ranges(size, workers)
-    if len(ranges) <= 1:
-        try:
-            _, total, rejected = _count_range(path, 0, size, header, mapping, used_indexes, cells)
-        except _DAMAGED_GZIP as exc:
-            raise _with_path(exc, path) from exc
-        return total, rejected
-    # Imported here so single-worker runs never load multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
+    try:
+        if len(ranges) <= 1:
+            _, total, rejected = _count_range(
+                path, 0, size, header, mapping, used_indexes, cells, identity
+            )
+            return total, rejected
+        # Imported here so single-worker runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
 
-    total = 0
-    rejected = 0
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [
-            pool.submit(_count_range, path, lo, hi, header, mapping, used_indexes, {})
-            for lo, hi in ranges
-        ]
-        for future in futures:
-            part, part_total, part_rejected = future.result()
-            _add_cells(cells, part)
-            total += part_total
-            rejected += part_rejected
-    return total, rejected
+        total = 0
+        rejected = 0
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            futures = [
+                pool.submit(_count_range, path, lo, hi, header, mapping, used_indexes, {}, identity)
+                for lo, hi in ranges
+            ]
+            for future in futures:
+                part, part_total, part_rejected = future.result()
+                _add_cells(cells, part)
+                total += part_total
+                rejected += part_rejected
+        return total, rejected
+    except _DAMAGED as exc:
+        raise _with_path(exc, path) from exc
 
 
 def ingest_lines(

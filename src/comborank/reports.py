@@ -13,7 +13,9 @@ values with ``|``.
 ``write_reports`` is the one writer of both.  A run writes its report files
 through it straight from the rows of ``rankstats.Ranking.reports``, and
 ``emit_report`` serializes any reports through it, in entity order.
-``all_or_nothing`` commits the files and directories a command writes.
+``all_or_nothing`` commits the files and directories a command writes,
+holding a lock on their directory: a directory another run holds raises
+``BlockingIOError``, which the CLI maps to exit 2.
 """
 
 from __future__ import annotations
@@ -26,9 +28,15 @@ from json.encoder import encode_basestring as _json_string
 from operator import attrgetter
 from pathlib import Path
 from shutil import rmtree
+from tempfile import mkdtemp
 from typing import IO, Iterable, Iterator, Sequence
 
 from .rankstats import EntityAnomalyReport
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: no lock, no cleanup
+    fcntl = None
 
 SCHEMA_VERSION = 1
 
@@ -170,76 +178,67 @@ def emit_report(reports: Iterable[EntityAnomalyReport], format: str = "json") ->
     return text.getvalue()
 
 
-def _remove(path: Path) -> None:
-    rmtree(path, ignore_errors=True)  # leaves a file, which unlink removes
-    path.unlink(missing_ok=True)
+# A stage's name prefix: no artifact name or chart slug (``[A-Za-z0-9.-]``) starts with it.
+_STAGE = ".comborank_stage"
 
 
-def _stale(pid: int) -> bool:
-    """Whether ``pid`` is this process or no running one."""
-    if pid == os.getpid():
-        return True
-    try:
-        os.kill(pid, 0)  # signal 0 only checks that the process exists
-    except (ProcessLookupError, OverflowError):
-        return True
-    except PermissionError:
-        return False  # another user's process
-    return False
+@contextmanager
+def _locked(directory: Path) -> Iterator[None]:
+    """Hold ``directory`` alone, having removed the stages earlier calls left in it.
 
-
-def _remove_stale_temporaries(paths: Sequence[Path]) -> None:
-    """Remove the temporaries beside ``paths`` that a killed run left behind.
-
-    ``all_or_nothing`` names them ``.<name>.<pid>.tmp`` and ``.<name>.<pid>.old``;
-    those of another process that is still running are left alone.  Nothing
-    is staged yet, so those with this process's pid are a dead process's
-    whose pid was reused (a container's first process is always pid 1).
-    Only POSIX has a signal that checks a process without acting on it.
+    The lock is ``flock`` on the directory itself, dropped by the kernel when
+    its holder exits, however it ends.  Off POSIX there is neither lock nor cleanup.
     """
-    if os.name != "posix":
+    if fcntl is None:
+        yield
         return
-    names = {f".{path.name}" for path in paths}
-    for entry in paths[0].parent.iterdir():
-        rest, _, suffix = entry.name.rpartition(".")
-        name, _, pid = rest.rpartition(".")
-        if name in names and suffix in ("tmp", "old") and pid.isdecimal() and _stale(int(pid)):
-            _remove(entry)
+    handle = os.open(directory, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError as exc:
+            raise BlockingIOError(exc.errno, "in use by another run", str(directory)) from None
+        for entry in directory.iterdir():
+            if entry.name.startswith(_STAGE):
+                rmtree(entry, ignore_errors=True)
+        yield
+    finally:
+        os.close(handle)  # which releases the lock
 
 
 @contextmanager
 def all_or_nothing(paths: Sequence[Path]) -> Iterator[list[Path]]:
-    """Temporary names beside ``paths`` for the block to fill with files or directories.
+    """Names in a fresh stage for the block to fill with files or directories.
 
-    Once the block completes, each filled temporary replaces its path (an
-    old directory is moved aside, then removed), then each path whose
-    temporary is unfilled is removed.  On any exception, ``KeyboardInterrupt``
-    included, the temporaries are removed and the paths stay as they were.
-    Temporaries that an earlier, killed run left beside ``paths`` are
-    removed first.
+    ``paths`` share one directory, locked (``_locked``) from before the
+    stage is made until after the commit; the lock is not re-entrant.  Once
+    the block completes, each filled name replaces its path (an old
+    directory is moved aside into the stage first), each path whose name is
+    unfilled is removed, and the stage goes with all it holds.  On any
+    exception, ``KeyboardInterrupt`` included, the stage is removed and the
+    paths stay as they were.
     """
-    staged = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
-    paths[0].parent.mkdir(parents=True, exist_ok=True)
-    _remove_stale_temporaries(paths)
-    aside: list[tuple[Path, Path]] = []
-    try:
-        yield staged
-        # Filled temporaries first: commit what the block wrote, then remove the rest.
-        for temporary, path in sorted(zip(staged, paths), key=lambda pair: not pair[0].exists()):
-            if path.is_dir():
-                old = path.with_name(f".{path.name}.{os.getpid()}.old")
-                os.rename(path, old)
-                aside.append((old, path))
-            if temporary.exists():
-                os.replace(temporary, path)
-            else:
-                path.unlink(missing_ok=True)
-    except BaseException:
-        for old, path in aside:
-            if not path.exists():
-                os.rename(old, path)
-        for temporary in staged:
-            _remove(temporary)
-        raise
-    for old, _path in aside:
-        rmtree(old, ignore_errors=True)
+    directory = paths[0].parent
+    directory.mkdir(parents=True, exist_ok=True)
+    with _locked(directory):
+        stage = Path(mkdtemp(prefix=_STAGE, dir=directory))
+        aside = stage / _STAGE  # a name no path can have
+        staged = [stage / path.name for path in paths]
+        try:
+            yield staged
+            # Filled names first: commit what the block wrote, then remove the rest.
+            for filled, path in sorted(zip(staged, paths), key=lambda pair: not pair[0].exists()):
+                if path.is_dir():
+                    aside.mkdir(exist_ok=True)
+                    os.rename(path, aside / path.name)
+                if filled.exists():
+                    os.replace(filled, path)
+                else:
+                    path.unlink(missing_ok=True)
+        except BaseException:
+            for path in paths:
+                if (aside / path.name).exists() and not path.exists():
+                    os.rename(aside / path.name, path)
+            raise
+        finally:
+            rmtree(stage, ignore_errors=True)

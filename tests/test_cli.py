@@ -340,6 +340,10 @@ class _FailAfter(list):
             yield name
 
 
+# Off POSIX there is no lock and no cleanup of earlier stages.
+_NEEDS_FLOCK = pytest.mark.skipif(os.name != "posix", reason="flock is POSIX only")
+
+
 class TestAllOrNothingArtifacts:
     """A run replaces its artifacts only once all of them are written, and leaves no other."""
 
@@ -460,37 +464,105 @@ class TestAllOrNothingArtifacts:
         listing = json.loads((entity_dir / "explanation.json").read_text())
         assert listing["entity"] == "e001"
 
-    def test_a_run_removes_the_temporaries_of_killed_runs(self, sample_log, tmp_path):
-        """A dead process's temporaries go; a running one's stay, as it may still commit them."""
+    @_NEEDS_FLOCK
+    def test_a_killed_runs_stage_is_removed_by_the_next_run(self, sample_log, tmp_path):
+        """A SIGKILLed run never waited on is a zombie that signal 0 still finds; its stage goes."""
         out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        child = subprocess.run(
-            [sys.executable, "-c", "import os; print(os.getpid())"],
-            capture_output=True, text=True, check=True,
-        )
-        dead, live = int(child.stdout), os.getppid()
-        (out_dir / f".reports.json.{dead}.tmp").write_text("{")
-        (out_dir / f".explanations.{dead}.tmp" / "e000.x").mkdir(parents=True)
-        (out_dir / f".explanations.{dead}.old").mkdir()
-        (out_dir / f".reports.json.{live}.tmp").write_text("{")
         argv = ["recommend", "--input", str(sample_log), "--out", str(out_dir), *self._ARGV]
-        assert main(argv) == EXIT_OK
-        assert list(self._contents(out_dir)) == [
-            f".reports.json.{live}.tmp", "baseline.json", "reports.json"
-        ]
+        child = _start_python("-c", _STALL_AFTER_REPORTS, *argv, "--format", "csv")
+        try:
+            assert child.stdout.readline() == "staged\n"
+            child.kill()
+            # Wait for the exit without reaping it, so the child stays a zombie.
+            os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+            os.kill(child.pid, 0)
+            assert any(name.startswith(".") for name in self._contents(out_dir))
+            assert main([*argv, "--format", "json"]) == EXIT_OK
+            assert list(self._contents(out_dir)) == ["baseline.json", "reports.json"]
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
 
-    def test_temporaries_carrying_this_process_pid_are_stale(self, sample_log, tmp_path):
-        """A reused pid, as a container's first process always has, commits no earlier leftover."""
+    @_NEEDS_FLOCK
+    def test_a_busy_out_exits_2_and_is_left_as_it_was(self, sample_log, tmp_path, capsys):
+        """A second writer into a directory another run has locked fails at once."""
+        import fcntl
+
         out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        own = os.getpid()
-        (out_dir / f".reports.csv.{own}.tmp").write_text("entity\n")
-        leftover = out_dir / f".explanations.{own}.tmp" / "someone.deadbeef"
+        argv = ["recommend", "--input", str(sample_log), "--out", str(out_dir), *self._ARGV]
+        assert main([*argv, "--format", "csv"]) == EXIT_OK
+        live = out_dir / ".comborank_stage_live"
+        live.mkdir()
+        (live / "reports.json").write_text("{")
+        before = self._contents(out_dir)
+        capsys.readouterr()
+        handle = os.open(out_dir, os.O_RDONLY)
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert main([*argv, "--k", "2"]) == EXIT_INPUT
+        finally:
+            os.close(handle)
+        assert str(out_dir) in capsys.readouterr().err
+        assert self._contents(out_dir) == before
+
+    @_NEEDS_FLOCK
+    def test_an_abandoned_stage_is_removed_not_committed(self, sample_log, tmp_path):
+        out_dir = tmp_path / "out"
+        stage = out_dir / ".comborank_stage_abandoned"
+        stage.mkdir(parents=True)
+        (stage / "reports.json").write_text("{")
+        (stage / "reports.csv").write_text("entity\n")
+        leftover = stage / "explanations" / "someone.deadbeef"
         leftover.mkdir(parents=True)
         (leftover / "explanation.json").write_text("{}")
+        (stage / ".comborank_stage" / "explanations").mkdir(parents=True)
         argv = ["recommend", "--input", str(sample_log), "--out", str(out_dir), *self._ARGV]
         assert main([*argv, "--format", "json"]) == EXIT_OK
         assert list(self._contents(out_dir)) == ["baseline.json", "reports.json"]
+        assert json.loads((out_dir / "reports.json").read_text())["entities"]
+
+    def test_a_slug_starting_with_a_dot_survives_another_entitys_charts(self, tmp_path):
+        charts = tmp_path / "explanations"
+        hidden = explain_module.ExplanationBundle(".hidden", None, None, (), ())
+        assert explain_module.write_explanation(hidden, charts).name.startswith(".hidden.")
+        written = self._contents(charts)
+        other = explain_module.ExplanationBundle("e000", 0.5, 2.0, (), ())
+        added = explain_module.write_explanation(other, charts).name
+        after = self._contents(charts)
+        assert f"{added}/explanation.json" in after
+        assert {name: data for name, data in after.items() if name.split("/")[0] != added} == written
+
+    @pytest.mark.parametrize("change", ["truncate", "replace"])
+    def test_an_input_changed_while_read_exits_2(
+        self, sample_log, tmp_path, monkeypatch, capsys, change
+    ):
+        """A plain log cut short or replaced after its size was taken fails, naming it."""
+        log = tmp_path / "log.csv"
+        log.write_bytes(sample_log.read_bytes())
+        out_dir = tmp_path / "out"
+        argv = [
+            "recommend", "--input", str(log), "--out", str(out_dir), "--threads", "1", *self._ARGV
+        ]
+        assert main(argv) == EXIT_OK
+        before = self._contents(out_dir)
+        count_range = ingest_module._count_range
+
+        def change_then_count(path, *args):
+            data = path.read_bytes()
+            if change == "truncate":
+                path.write_bytes(data[: len(data) // 2])
+            else:
+                fresh = path.with_name("fresh.csv")
+                fresh.write_bytes(data)
+                os.replace(fresh, path)
+            return count_range(path, *args)
+
+        monkeypatch.setattr(ingest_module, "_count_range", change_then_count)
+        capsys.readouterr()
+        assert main([*argv, "--k", "2"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {log}: ")
+        assert self._contents(out_dir) == before
 
     def test_failed_synth_keeps_the_previous_log(self, tmp_path, monkeypatch):
         out_dir = tmp_path / "data"
@@ -716,13 +788,44 @@ def test_rank_profile_via_cli(tmp_path):
 _SRC = Path(comborank.__file__).resolve().parent.parent
 
 
+def _python_env() -> dict[str, str]:
+    """The environment with this package's ``src/`` on ``PYTHONPATH``."""
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _run_python(*args: str, hash_seed: str | None = None) -> subprocess.CompletedProcess:
     """Run a fresh interpreter with this package's ``src/`` on ``PYTHONPATH``."""
-    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = _python_env()
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _start_python(*args: str) -> subprocess.Popen:
+    """Start a fresh interpreter as ``_run_python`` does, its stdout a text pipe."""
+    return subprocess.Popen(
+        [sys.executable, *args], stdout=subprocess.PIPE, text=True, env=_python_env()
+    )
+
+
+# The CLI with its arguments, stalled once the report files are written into
+# its stage: it prints "staged" and sleeps until it is killed.
+_STALL_AFTER_REPORTS = """
+import sys, time
+from comborank import cli
+write_reports = cli.write_reports
+
+def stall(reports, *handles):
+    write_reports(reports, *handles)
+    for handle in handles:
+        handle.flush()
+    print("staged", flush=True)
+    time.sleep(600)
+
+cli.write_reports = stall
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 def test_import_loads_only_analysis_modules(tmp_path):

@@ -1,4 +1,6 @@
 import gzip
+import os
+import re
 import tempfile
 import time
 import tracemalloc
@@ -379,6 +381,36 @@ class TestIngestFile:
         assert single[1].total_records == 201
         _assert_same_aggregates(ingest_paths([path], SPEC, MAPPING, header=True, workers=2), single)
 
+    def test_a_range_cut_short_raises_eof(self, tmp_path):
+        path = self._write(tmp_path, "log.csv", "Browser,Country,Customer\n" + "F,US,x1\n" * 100)
+        size = path.stat().st_size
+        used = (0, 1, 2)
+        with pytest.raises(EOFError, match=f"truncated while read: ended at byte {size}, "):
+            ingest_module._count_range(path, size // 2, size + 8, True, MAPPING, used, {})
+        with pytest.raises(EOFError, match="truncated while read"):
+            ingest_module._count_range(path, size + 4, size + 8, True, MAPPING, used, {})
+
+    def test_a_replaced_file_raises_eof(self, tmp_path):
+        path = self._write(tmp_path, "log.csv", "Browser,Country,Customer\nF,US,x1\n")
+        status = path.stat()
+        size, used = status.st_size, (0, 1, 2)
+        ingest_module._count_range(
+            path, 0, size, True, MAPPING, used, {}, (status.st_dev, status.st_ino)
+        )
+        with pytest.raises(EOFError, match="replaced while read"):
+            ingest_module._count_range(
+                path, 0, size, True, MAPPING, used, {}, (status.st_dev, status.st_ino + 1)
+            )
+
+    def test_a_worker_reading_short_raises_with_the_path(self, tmp_path, monkeypatch):
+        """A range past the end fails in its pool worker, and the parent names the input."""
+        path = self._write(tmp_path, "log.csv", "Browser,Country,Customer\n" + "F,US,x1\n" * 100)
+        monkeypatch.setattr(
+            ingest_module, "_chunk_ranges", lambda size, workers: [(0, size), (size, size + 9)]
+        )
+        with pytest.raises(EOFError, match=f"^{re.escape(str(path))}: truncated while read"):
+            ingest_paths([path], SPEC, MAPPING, header=True, workers=2)
+
     def test_no_trailing_newline(self, tmp_path):
         path = self._write(tmp_path, "log.csv", "Browser,Country,Customer\nF,US,x1")
         _, index = ingest_paths([path], SPEC, MAPPING, header=True, workers=1)
@@ -654,6 +686,16 @@ class TestMemoryBound:
         assert (index.total_records, len(index.cells), len(index.entities())) == (8000, 91, 101)
         assert held - base < 1 << 20
         assert peak - held < 1 << 20
+
+
+def test_zero_workers_means_one_per_usable_cpu(monkeypatch):
+    """``cpu_count`` counts CPUs this process may not run on; the affinity set does not."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert ingest_module.resolve_workers(0) == 3
+    assert ingest_module.resolve_workers(2) == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert ingest_module.resolve_workers(0) == 64
 
 
 class TestResolveMapping:
