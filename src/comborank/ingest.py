@@ -12,15 +12,20 @@ is read by one byte-level reader with one line rule: blocks of
 undecodable bytes replaced, and split at ``\\n``, ``\\r\\n`` and a lone
 ``\\r`` only.  One UTF-8 byte order mark at the start of a file is dropped.
 
-``ingest_paths`` splits each line once, normalizes its used fields and
-counts it straight into its index cell, so nothing but the index outlives a
-line.  ``ingest_lines`` runs the same counting over lines already in
-memory.  In a single context memory is bounded by the index plus the lines
-of one block.  The marginals, a plain ``{category: {value: count}}`` dict,
-are derived from the cell totals.  Plain files can be fanned out over byte
-ranges with ``workers`` processes, whose cells the parent adds up.  Gzip
-inputs are always read in a single context because the stream does not
-support random access.
+``ingest_paths`` counts each line straight into its index cell; no line is
+kept once counted.  Where the entity is the last column and every other
+column a category, a line whose raw text before the entity was seen before
+finds its cell with one dict lookup, and the text is remembered only once
+its cell exists; any other line is split once and its used fields
+normalized.  The entity is normalized on every line.  Other layouts split
+every line.  ``ingest_lines`` runs the same counting over lines already in
+memory.  In a single context memory is bounded by the index, the lines of
+one block and the remembered texts, at most one per distinct spelling of a
+stored combination.  The marginals, a plain ``{category: {value: count}}``
+dict, are derived from the cell totals.  Plain files can be fanned out over
+byte ranges with ``workers`` processes, whose cells the parent adds up.
+Gzip inputs are always read in a single context because the stream does
+not support random access.
 
 Malformed lines (wrong column count after splitting) are counted and skipped,
 never fatal.
@@ -129,47 +134,90 @@ def _used_indexes(spec: AnalysisSpec, mapping: FieldMapping) -> tuple[int, ...]:
     )
 
 
-# The counting loop, written out for one arity: the key is a tuple display of
-# the category fields, so CPython builds it without a per-line comprehension.
-# Only the local names ``i0``, ``i1``, ... are substituted into the template;
-# column positions, the delimiter and the missing token are passed as values,
-# so no input text reaches the source.
+# The counting loop, written out for one arity and one way to find a line's
+# cell.  The key is a tuple display of the category fields, so CPython builds
+# it without a per-line comprehension.  Only the local names ``i0``, ``i1``,
+# ... and fixed code are substituted into the template; column positions, the
+# delimiter and the missing token are passed as values, so no input text
+# reaches the source.  ``{find}`` opens the block that splits the line and
+# looks its combination up; ``{remember}`` closes it once the cell was found.
 _COUNT_TEMPLATE = """\
 def count_lines(lines, delimiter, column_count, missing, {indexes}, entity_index, cells):
     seen = 0
     rejected = 0
+    alias = {{}}
     for seen, line in enumerate(lines, 1):
-        fields = line.split(delimiter)
-        if len(fields) != column_count:
-            rejected += 1
-            continue
-        combination = ({key})
-        entity = fields[entity_index].strip() or missing
-        cell = cells.get(combination)
-        if cell is None:
-            cells[tuple(map(intern, combination))] = {{intern(entity): 1}}
+{find}
+            fields = line.split(delimiter)
+            if len(fields) != column_count:
+                rejected += 1
+                continue
+            combination = ({key})
+            cell = cells.get(combination)
+            if cell is None:
+                cells[tuple(map(intern, combination))] = {{intern({entity}): 1}}
+                continue
+{remember}
+        entity = {entity}
+        count = cell.get(entity)
+        if count is None:
+            cell[intern(entity)] = 1
         else:
-            count = cell.get(entity)
-            if count is None:
-                cell[intern(entity)] = 1
-            else:
-                cell[entity] = count + 1
+            cell[entity] = count + 1
     return seen - rejected, rejected
 """
 
-def _counting_source(arity: int) -> str:
-    """The counting loop's source for ``arity`` categories; it depends on nothing else."""
+# The one normalization of a used field: stripped, and the missing token if blank.
+_NORMALIZED = "{}.strip() or missing"
+
+# Every line is split and its combination looked up; ``if True:`` compiles to
+# nothing, and ``alias`` is never read.
+_BY_SPLIT = {"find": "        if True:", "remember": "", "entity": "fields[entity_index]"}
+
+# The entity is the last column and every other column a category, so the raw
+# text before the last delimiter decides the cell: a text seen before finds it
+# in ``alias`` with one lookup, and only a miss is split and normalized.  A
+# text is remembered once its cell exists, so ``alias`` never holds a text
+# without a cell, and lines seen once (as most are in a sparse log) add
+# nothing to it.  A line with no delimiter also has an empty ``head``, which
+# ``found`` tells apart from a valid one-category line with a blank category.
+_BY_HEAD = {
+    "find": (
+        "        head, found, entity = line.rpartition(delimiter)\n"
+        "        cell = alias.get(head)\n"
+        "        if cell is None or not found:"
+    ),
+    "remember": "            alias[head] = cell",
+    "entity": "entity",
+}
+
+
+def _counting_source(arity: int, by_head: bool) -> str:
+    """The counting loop's source for ``arity`` categories and one of the two bodies."""
     names = [f"i{j}" for j in range(arity)]
-    key = ", ".join(f"fields[{name}].strip() or missing" for name in names)
-    return _COUNT_TEMPLATE.format(indexes=", ".join(names), key=key + "," * (arity == 1))
+    key = ", ".join(_NORMALIZED.format(f"fields[{name}]") for name in names)
+    body = _BY_HEAD if by_head else _BY_SPLIT
+    return _COUNT_TEMPLATE.format(
+        indexes=", ".join(names),
+        key=key + "," * (arity == 1),
+        find=body["find"],
+        remember=body["remember"],
+        entity=_NORMALIZED.format(body["entity"]),
+    )
 
 
 @cache
-def _counter(arity: int) -> Callable[..., tuple[int, int]]:
-    """The counting loop for ``arity`` categories, compiled on first use."""
+def _counter(arity: int, by_head: bool) -> Callable[..., tuple[int, int]]:
+    """The counting loop for ``arity`` categories and one body, compiled on first use."""
     namespace = {"intern": intern}
-    exec(_counting_source(arity), namespace)
+    exec(_counting_source(arity, by_head), namespace)
     return namespace["count_lines"]
+
+
+def _keyed_by_head(mapping: FieldMapping, used_indexes: tuple[int, ...]) -> bool:
+    """Whether the entity is the last column and every other column a category."""
+    last = mapping.column_count - 1
+    return len(used_indexes) == mapping.column_count and used_indexes[-1] == last
 
 
 def _count_lines(
@@ -180,14 +228,17 @@ def _count_lines(
 ) -> tuple[int, int]:
     """Hot loop: add raw lines into ``cells``; returns (accepted, rejected).
 
-    Each line is split once, its used fields stripped and empty ones given
-    the missing token, and it is counted straight into its cell, so nothing
-    but the index outlives a line.  Names are interned when a cell or an
-    entity is stored anew, so the index holds one string object per distinct
-    name.  The loop itself is ``_counter``'s, specialised to the category
-    count.
+    Each line's used fields are stripped and empty ones given the missing
+    token, and it is counted straight into its cell, so nothing but the
+    index outlives a line.  Names are interned when a cell or an entity is
+    stored anew, so the index holds one string object per distinct name.
+    The loop itself is ``_counter``'s, specialised to the category count and
+    to the layout: where the entity is the last column and every other
+    column a category, a line whose text before the entity was seen before
+    finds its cell with one lookup and is split only on a miss; any other
+    layout splits every line.
     """
-    count = _counter(len(used_indexes) - 1)
+    count = _counter(len(used_indexes) - 1, _keyed_by_head(mapping, used_indexes))
     return count(
         lines, mapping.delimiter, mapping.column_count, mapping.missing_token, *used_indexes, cells
     )

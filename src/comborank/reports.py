@@ -111,7 +111,7 @@ def _csv_rows(handle: IO[str]):
 
 
 def write_reports(
-    reports: Iterable[tuple], json_handle: IO[str], csv_handle: IO[str] | None = None
+    reports: Iterable[tuple], json_handle: IO[str] | None, csv_handle: IO[str] | None = None
 ) -> None:
     """Write ``reports`` in the order given: the one report writer.
 
@@ -121,7 +121,8 @@ def write_reports(
     at a time, so memory is what the reports are read from plus one batch.
     Only the names of entities with no MRR are kept past their batch, for
     the closing ``no_baseline_presence`` array.  Given ``csv_handle``, the
-    CSV view is written in the same loop.
+    CSV view is written in the same loop; with no ``json_handle`` it is the
+    only text formatted.
     """
     rows = None if csv_handle is None else _csv_rows(csv_handle)
     absent: list[str] = []
@@ -129,29 +130,32 @@ def write_reports(
     def batches() -> Iterator[list[str]]:
         batch: list[str] = []
         lines: list[tuple] = []
-        for entity, mrr, expected, presence, items in reports:
-            if mrr is None:
-                absent.append(entity)
-            listed = "[]"
-            if items:
-                encoded = []
-                head = None if rows is None else (entity, f"{mrr:.6g}", f"{expected:.6g}")
+        for n, (entity, mrr, expected, presence, items) in enumerate(reports, 1):
+            if rows is not None and items:
+                head = entity, f"{mrr:.6g}", f"{expected:.6g}"
                 for combo, distance, rr, rank, size, count in items:
-                    encoded.append(_ITEM % (size, _combination(combo), count, distance, rank, rr))
-                    if head is not None:
-                        numbers = f"{distance:.6g}", f"{rr:.6g}", rank, size, count
-                        lines.append((*head, "|".join(combo), *numbers))
-                listed = "[\n        " + ",\n        ".join(encoded) + "\n      ]"
-            batch.append(
-                _ENTRY % (
-                    presence,
-                    _json_string(entity),
-                    "null" if expected is None else repr(expected),
-                    listed,
-                    "null" if mrr is None else repr(mrr),
+                    numbers = f"{distance:.6g}", f"{rr:.6g}", rank, size, count
+                    lines.append((*head, "|".join(combo), *numbers))
+            if json_handle is not None:
+                if mrr is None:
+                    absent.append(entity)
+                listed = "[]"
+                if items:
+                    encoded = [
+                        _ITEM % (size, _combination(combo), count, distance, rank, rr)
+                        for combo, distance, rr, rank, size, count in items
+                    ]
+                    listed = "[\n        " + ",\n        ".join(encoded) + "\n      ]"
+                batch.append(
+                    _ENTRY % (
+                        presence,
+                        _json_string(entity),
+                        "null" if expected is None else repr(expected),
+                        listed,
+                        "null" if mrr is None else repr(mrr),
+                    )
                 )
-            )
-            if len(batch) == _BATCH:
+            if n % _BATCH == 0:
                 if rows is not None:
                     rows.writerows(lines)
                     lines = []
@@ -161,7 +165,11 @@ def write_reports(
             rows.writerows(lines)
         yield batch
 
-    json_handle.writelines(_document(batches(), absent))
+    if json_handle is None:
+        for _ in batches():
+            pass
+    else:
+        json_handle.writelines(_document(batches(), absent))
 
 
 def emit_report(reports: Iterable[EntityAnomalyReport], format: str = "json") -> str:
@@ -172,8 +180,7 @@ def emit_report(reports: Iterable[EntityAnomalyReport], format: str = "json") ->
     if format not in ("json", "csv"):
         raise ValueError(f"unknown report format {format!r}")
     text = io.StringIO()
-    # The writer always writes the JSON document; for "csv" it goes to a buffer that is dropped.
-    handles = (text,) if format == "json" else (io.StringIO(), text)
+    handles = (text,) if format == "json" else (None, text)
     write_reports(sorted(reports, key=_ENTITY), *handles)
     return text.getvalue()
 

@@ -13,6 +13,7 @@ from .generator import (
     manifest_from_json,
     manifest_to_json,
     planted_config,
+    sparse_config,
     synthetic_config,
     zipf_weights,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "manifest_to_json",
     "oracle_recommend",
     "planted_config",
+    "sparse_config",
     "synthetic_config",
     "zipf_weights",
 ]

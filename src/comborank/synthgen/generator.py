@@ -417,3 +417,19 @@ def bench_config(seed: int, total_entries: int) -> GeneratorConfig:
         category_exponent=1.3,
         entity_exponent=0.9,
     )
+
+
+def sparse_config(seed: int, total_entries: int) -> GeneratorConfig:
+    """The sparse-combination workload: 480 million possible combinations, 5,000 entities.
+
+    Most combinations are seen with one entity, and few lines repeat the
+    category values of an earlier one.
+    """
+    return synthetic_config(
+        seed,
+        category_sizes=(2000, 400, 50, 12),
+        entity_count=5000,
+        total_entries=total_entries,
+        category_exponent=0.9,
+        entity_exponent=0.8,
+    )

@@ -372,6 +372,11 @@ def test_criterion_8_throughput_and_scaling(tmp_path):
     t_quad = quad.times.total_s
     log.unlink()
     speedup = t_single / t_quad
+    stages = "; ".join(
+        f"{name}: ingest_s={run.times.ingest_s:.2f} baseline_s={run.times.baseline_s:.2f} "
+        f"rank_s={run.times.rank_s:.2f}"
+        for name, run in (("single", single), ("four workers", quad))
+    )
     print(
         f"entries={single.index.total_records} single={t_single:.2f}s "
         f"({throughput:,.0f}/s) quad={t_quad:.2f}s speedup={speedup:.2f}x "
@@ -383,7 +388,8 @@ def test_criterion_8_throughput_and_scaling(tmp_path):
     assert speedup >= 2.5, (
         f"four-worker speedup {speedup:.2f}x is below 2.5x (single {t_single:.2f}s, "
         f"four workers {t_quad:.2f}s); this host exposes {os.cpu_count()} CPU core(s), "
-        "and byte-range fan-out cannot reach 2.5x without at least three usable cores"
+        "and byte-range fan-out cannot reach 2.5x without at least three usable cores "
+        f"({stages})"
     )
 
 

@@ -1,4 +1,5 @@
 import gzip
+import itertools
 import os
 import re
 import tempfile
@@ -24,7 +25,7 @@ from comborank import (
 )
 from comborank import ingest as ingest_module
 from comborank.ingest import _add_cells
-from comborank.synthgen import oracle_recommend
+from comborank.synthgen import generate_log, oracle_recommend, sparse_config
 
 MAPPING = FieldMapping(("Browser", "Country", "Customer"))
 SPEC = AnalysisSpec(categories=("Browser", "Country"), entity_field="Customer")
@@ -452,14 +453,25 @@ def _repeating(element, max_size):
     )
 
 
-# (column names, categories, entity): the entity column last, a single
-# category, and the entity first with an unused column between the two
-# categories; then three, five and six categories, with the entity in the
-# middle, categories out of column order and an unused column last, since
-# the counting loop is written out once per category count.
+# (column names, categories, entity).  With the entity column last and every
+# other column a category, the counting loop finds a line's cell by the text
+# before the entity: one to six categories, some out of column order.  The
+# other layouts split every line: the entity first with an unused column
+# between the two categories, the entity in the middle, and an unused column
+# last.  The loop is written out once per category count and layout.
 _LAYOUTS = {
-    "two-categories": (("Browser", "Country", "Customer"), ("Browser", "Country"), "Customer"),
-    "one-category": (("Browser", "Customer"), ("Browser",), "Customer"),
+    "entity-last-2": (("Browser", "Country", "Customer"), ("Browser", "Country"), "Customer"),
+    "entity-last-1": (("Browser", "Customer"), ("Browser",), "Customer"),
+    "entity-last-3": (("c1", "c2", "c3", "Customer"), ("c3", "c1", "c2"), "Customer"),
+    "entity-last-4": (("c1", "c2", "c3", "c4", "Customer"), ("c1", "c2", "c3", "c4"), "Customer"),
+    "entity-last-5": (
+        ("c1", "c2", "c3", "c4", "c5", "Customer"), ("c5", "c3", "c1", "c2", "c4"), "Customer"
+    ),
+    "entity-last-6": (
+        ("c1", "c2", "c3", "c4", "c5", "c6", "Customer"),
+        ("c1", "c2", "c3", "c4", "c5", "c6"),
+        "Customer",
+    ),
     "entity-first": (
         ("Customer", "Browser", "Path", "Country"), ("Browser", "Country"), "Customer"
     ),
@@ -467,11 +479,6 @@ _LAYOUTS = {
     "five-categories": (
         ("c1", "c2", "c3", "c4", "c5", "Customer", "Path"),
         ("c5", "c3", "c1", "c2", "c4"),
-        "Customer",
-    ),
-    "six-categories": (
-        ("c1", "c2", "c3", "c4", "c5", "c6", "Customer"),
-        ("c1", "c2", "c3", "c4", "c5", "c6"),
         "Customer",
     ),
 }
@@ -490,7 +497,7 @@ class TestBatchedCounting:
     """Lines read a few bytes at a time, with names spelled several ways, count exactly."""
 
     @pytest.mark.parametrize("block", [1, 2, 3, None])
-    @settings(max_examples=25)
+    @settings(max_examples=40)
     @given(layout=st.sampled_from(list(_LAYOUTS)), rows=_repeating(_row, 40))
     def test_matches_reference(self, block, layout, rows):
         columns, categories, entity = _LAYOUTS[layout]
@@ -529,12 +536,35 @@ class TestCountingSource:
         assert (index.total_records, index.rejected_records) == (3, 1)
 
     def test_source_depends_only_on_the_category_count(self):
-        for arity in range(1, 7):
-            source = ingest_module._counting_source(arity)
+        for arity, by_head in itertools.product(range(1, 7), (False, True)):
+            source = ingest_module._counting_source(arity, by_head)
             # One key field per category, and no string literal or comment.
             assert source.count("fields[i") == arity
             assert not any(mark in source for mark in ('"', "'", "#"))
-            assert ingest_module._counter(arity) is ingest_module._counter(arity)
+            assert ("rpartition" in source) is by_head
+            counter = ingest_module._counter(arity, by_head)
+            assert counter is ingest_module._counter(arity, by_head)
+
+    def test_a_line_without_a_delimiter_is_not_a_blank_category(self):
+        """With one category, ``",x"`` and ``"abc"`` both have an empty text before the entity.
+
+        The second ``",x"``-shaped line remembers that empty text; ``"abc"``
+        must still be split and rejected, not counted into the blank category.
+        """
+        mapping = FieldMapping(("Browser", "Customer"))
+        spec = AnalysisSpec(("Browser",), "Customer")
+        assert ingest_module._keyed_by_head(mapping, ingest_module._used_indexes(spec, mapping))
+        _, index = ingest_lines([",x", ",y", "abc"], spec, mapping)
+        assert (index.total_records, index.rejected_records) == (2, 1)
+        assert index.cells == {("Unknown",): {"x": 1, "y": 1}}
+
+    def test_the_body_follows_the_layout(self):
+        """Only an entity-last layout with no unused column reads the text before the entity."""
+        for name, (columns, categories, entity) in _LAYOUTS.items():
+            mapping = FieldMapping(columns)
+            used = ingest_module._used_indexes(AnalysisSpec(categories, entity), mapping)
+            by_head = ingest_module._keyed_by_head(mapping, used)
+            assert by_head is name.startswith("entity-last"), name
 
 
 _noise = st.sampled_from(["", " ", "  ", "\t", "\v", "\f", "\u2028"])
@@ -663,6 +693,42 @@ class TestLineRule:
             _assert_same_index(index, single)
 
 
+def test_sparse_log_matches_the_oracle(tmp_path):
+    """A log of ``sparse_config``'s shape: few lines repeat the text before the entity.
+
+    Most cohorts hold one entity, so most lines miss the remembered texts
+    and take the split path; both worker counts must still report what the
+    oracle does.
+    """
+    config = sparse_config(5, 20_000)
+    log = tmp_path / "sparse.csv"
+    generate_log(config, log)
+    spec = config.analysis_spec()
+    mapping = config.field_mapping()
+    assert ingest_module._keyed_by_head(mapping, ingest_module._used_indexes(spec, mapping))
+    oracle = emit_report(oracle_recommend(log, spec))
+    for workers in (1, 2):
+        marginals, index = ingest_paths([log], spec, mapping, header=True, workers=workers)
+        single = sum(len(cell) == 1 for cell in index.cells.values())
+        assert index.total_records == 20_000
+        assert single > len(index.cells) * 0.8
+        report = emit_report(recommend_all(index, generate_baseline(marginals, spec), spec))
+        assert report == oracle, workers
+
+
+def _traced_ingest(path, mapping):
+    """``ingest_paths`` with 1 worker, and what it left held and peaked above that, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, index = ingest_paths([path], SPEC, mapping, header=True, workers=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return index, held - base, peak - held
+
+
 class TestMemoryBound:
     """Ingest holds the index and the lines of one block, not a share of the log."""
 
@@ -675,17 +741,27 @@ class TestMemoryBound:
             handle.write(",".join(mapping.column_names) + "\n")
             for i in range(8000):
                 handle.write(f"br{i % 7},co{i % 13},{i:0500d},cust{i % 101}\n")
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            _, index = ingest_paths([path], SPEC, mapping, header=True, workers=1)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        index, held, above = _traced_ingest(path, mapping)
         assert (index.total_records, len(index.cells), len(index.entities())) == (8000, 91, 101)
-        assert held - base < 1 << 20
-        assert peak - held < 1 << 20
+        assert held < 1 << 20
+        assert above < 1 << 20
+
+    def test_remembered_texts_stay_near_the_index(self, tmp_path):
+        # 40,000 distinct lines, entity last: the 91 cells' texts before the
+        # entity come in 15 padded spellings each, 1,365 in all.  Remembering
+        # them adds about 0.1 MB to the block's lines; remembering one text
+        # per line, not one per spelling, would add about 3 MB.
+        pads = ("", " ", "  ", "\t", " \t ")
+        path = tmp_path / "log.csv"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(",".join(MAPPING.column_names) + "\n")
+            for i in range(40_000):
+                handle.write(f"{pads[i % 3]}br{i % 7},co{i % 13}{pads[i % 5]},cust{i % 101}\n")
+        assert ingest_module._keyed_by_head(MAPPING, ingest_module._used_indexes(SPEC, MAPPING))
+        index, held, above = _traced_ingest(path, MAPPING)
+        assert (index.total_records, len(index.cells), len(index.entities())) == (40_000, 91, 101)
+        assert held < 1 << 20
+        assert above < 1 << 20
 
 
 def test_zero_workers_means_one_per_usable_cpu(monkeypatch):
