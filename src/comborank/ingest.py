@@ -22,10 +22,11 @@ every line.  ``ingest_lines`` runs the same counting over lines already in
 memory.  In a single context memory is bounded by the index, the lines of
 one block and the remembered texts, at most one per distinct spelling of a
 stored combination.  The marginals, a plain ``{category: {value: count}}``
-dict, are derived from the cell totals.  Plain files can be fanned out over
-byte ranges with ``workers`` processes, whose cells the parent adds up.
-Gzip inputs are always read in a single context because the stream does
-not support random access.
+dict, are derived from the cell totals.  A run first plans its reads: a
+plain file becomes up to ``workers`` byte ranges, and a gzip file, whose
+stream allows no random access, one range read to its end.  One pool of
+``workers`` processes counts every range of the run, whose cells the parent
+adds up; a run with one worker, one range or little input counts them itself.
 
 Malformed lines (wrong column count after splitting) are counted and skipped,
 never fatal.
@@ -253,10 +254,9 @@ def _aggregates(
     accepted record lands in exactly one cell.
     """
     marginals: dict[str, dict[str, int]] = {c: {} for c in spec.categories}
-    per_cat = list(marginals.values())
-    for combination, cell in cells.items():
-        n = sum(cell.values())
-        for counts, value in zip(per_cat, combination):
+    totals = list(map(sum, map(dict.values, cells.values())))
+    for counts, column in zip(marginals.values(), zip(*cells)):
+        for value, n in zip(column, totals):
             counts[value] = counts.get(value, 0) + n
     index = ContingencyIndex(tuple(spec.categories), spec.entity_field, cells, total, rejected)
     return marginals, index
@@ -396,14 +396,18 @@ def _count_range(
     fresh cells sends its counts back.  Memory is bounded by the cells plus
     the lines of one block, whatever the range's size.  Given ``identity``,
     the ``(st_dev, st_ino)`` the file had when its size was taken, a file
-    opened under another raises ``EOFError``: it was replaced since.
+    opened under another raises ``EOFError``: it was replaced since.  What
+    reading raises starts with ``path``, in a pool worker as in the parent.
     """
-    with _open_log(path) as handle:
-        opened = os.fstat(handle.fileno())
-        if identity is not None and identity != (opened.st_dev, opened.st_ino):
-            raise EOFError("replaced while read: another file now has its name")
-        lines = _read_lines(handle, start, end, header)
-        total, rejected = _count_lines(lines, mapping, used_indexes, cells)
+    try:
+        with _open_log(path) as handle:
+            opened = os.fstat(handle.fileno())
+            if identity is not None and identity != (opened.st_dev, opened.st_ino):
+                raise EOFError("replaced while read: another file now has its name")
+            lines = _read_lines(handle, start, end, header)
+            total, rejected = _count_lines(lines, mapping, used_indexes, cells)
+    except _DAMAGED as exc:
+        raise _with_path(exc, path) from exc
     return cells, total, rejected
 
 
@@ -425,56 +429,32 @@ def resolve_workers(workers: int) -> int:
     return workers
 
 
-def _count_file(
-    path: Path,
-    mapping: FieldMapping,
-    used_indexes: tuple[int, ...],
-    header: bool,
-    workers: int,
-    cells: Cells,
-) -> tuple[int, int]:
-    """Add one log file's lines into ``cells``; returns (accepted, rejected).
+def _read_plan(
+    paths: Sequence[str | Path], mapping: FieldMapping, header: bool, workers: int
+) -> list[tuple[int, tuple[Path, int, float, tuple[int, int]]]]:
+    """Every input as ``(size, (path, start, end, identity))`` byte ranges, in input order.
 
-    A plain file is read up to the size it had after its header check, with
-    any worker count, so lines appended while it is read count for none; one
-    truncated or replaced while it is read raises ``EOFError``.  Gzip files
-    are read to their end.  What reading raises starts with ``path``.
+    Each header is checked first.  A plain file is split by ``_chunk_ranges``
+    up to the size it had after its header check, so lines appended while it
+    is read count for none of its ranges.  A gzip file is one range read to
+    its end, sized at its compressed length.
     """
-    if header:
-        observed = read_header(path, mapping.delimiter)
-        if observed != mapping.column_names:
-            raise SchemaMismatch(
-                f"{path}: header {observed} does not match mapping {mapping.column_names}"
-            )
-
-    status = path.stat()
-    identity = status.st_dev, status.st_ino
-    size = inf if _is_gzip(path) else status.st_size
-    ranges = [] if size == inf else _chunk_ranges(size, workers)
-    try:
-        if len(ranges) <= 1:
-            _, total, rejected = _count_range(
-                path, 0, size, header, mapping, used_indexes, cells, identity
-            )
-            return total, rejected
-        # Imported here so single-worker runs never load multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        total = 0
-        rejected = 0
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            futures = [
-                pool.submit(_count_range, path, lo, hi, header, mapping, used_indexes, {}, identity)
-                for lo, hi in ranges
-            ]
-            for future in futures:
-                part, part_total, part_rejected = future.result()
-                _add_cells(cells, part)
-                total += part_total
-                rejected += part_rejected
-        return total, rejected
-    except _DAMAGED as exc:
-        raise _with_path(exc, path) from exc
+    plan = []
+    for path in map(Path, paths):
+        if header:
+            observed = read_header(path, mapping.delimiter)
+            if observed != mapping.column_names:
+                raise SchemaMismatch(
+                    f"{path}: header {observed} does not match mapping {mapping.column_names}"
+                )
+        status = path.stat()
+        identity = status.st_dev, status.st_ino
+        if _is_gzip(path):
+            plan.append((status.st_size, (path, 0, inf, identity)))
+        else:
+            for start, end in _chunk_ranges(status.st_size, workers):
+                plan.append((end - start, (path, start, end, identity)))
+    return plan
 
 
 def ingest_lines(
@@ -496,20 +476,39 @@ def ingest_paths(
 ) -> tuple[dict[str, dict[str, int]], ContingencyIndex]:
     """Aggregate several log files under one mapping into one index.
 
-    ``workers`` is the process count (0 = one per CPU).  Plain files fan out
-    over byte ranges; gzip files are always streamed in a single context.
-    The result is identical for every worker count because partial
-    aggregates merge exactly.
+    ``workers`` is the process count (0 = one per CPU).  Every input becomes
+    byte ranges (``_read_plan``).  With one worker, one range, or fewer than
+    ``_MIN_CHUNK_BYTES`` bytes in all, they are counted here in input order;
+    otherwise one pool counts them, largest first, and each partial is added
+    as it completes.  The result is identical for every worker count because
+    partial aggregates merge exactly, in any order.
     """
     if not paths:
         raise ConfigError("no input paths given")
     used_indexes = _used_indexes(spec, mapping)
     workers = resolve_workers(workers)
+    plan = _read_plan(paths, mapping, header, workers)
     cells: Cells = {}
-    total = 0
-    rejected = 0
-    for path in paths:
-        accepted, skipped = _count_file(Path(path), mapping, used_indexes, header, workers, cells)
-        total += accepted
-        rejected += skipped
-    return _aggregates(cells, total, rejected, spec)
+    if workers == 1 or len(plan) == 1 or sum(size for size, _ in plan) < _MIN_CHUNK_BYTES:
+        counts = [
+            _count_range(path, start, end, header, mapping, used_indexes, cells, identity)[1:]
+            for _, (path, start, end, identity) in plan
+        ]
+    else:
+        # Imported here so runs that count in this process never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        counts = []
+        with ProcessPoolExecutor(max_workers=min(workers, len(plan))) as pool:
+            futures = [
+                pool.submit(
+                    _count_range, path, start, end, header, mapping, used_indexes, {}, identity
+                )
+                for _, (path, start, end, identity) in sorted(plan, reverse=True)
+            ]
+            for future in as_completed(futures):
+                part, *tally = future.result()
+                _add_cells(cells, part)
+                counts.append(tally)
+    accepted, rejected = map(sum, zip(*counts))
+    return _aggregates(cells, accepted, rejected, spec)

@@ -12,7 +12,8 @@ values with ``|``.
 
 ``write_reports`` is the one writer of both.  A run writes its report files
 through it straight from the rows of ``rankstats.Ranking.reports``, and
-``emit_report`` serializes any reports through it, in entity order.
+``emit_report`` serializes any reports as the JSON document through it, in
+entity order.
 ``all_or_nothing`` commits the files and directories a command writes,
 holding a lock on their directory: a directory another run holds raises
 ``BlockingIOError``, which the CLI maps to exit 2.
@@ -23,7 +24,6 @@ from __future__ import annotations
 import io
 import os
 from contextlib import contextmanager
-from csv import writer as csv_writer
 from json.encoder import encode_basestring as _json_string
 from operator import attrgetter
 from pathlib import Path
@@ -104,14 +104,8 @@ def _document(entry_batches: Iterable[list[str]], absent: list[str]) -> Iterator
     yield f'  "schema_version": {SCHEMA_VERSION}\n}}\n'
 
 
-def _csv_rows(handle: IO[str]):
-    rows = csv_writer(handle, lineterminator="\n")
-    rows.writerow(_CSV_HEADER)
-    return rows
-
-
 def write_reports(
-    reports: Iterable[tuple], json_handle: IO[str] | None, csv_handle: IO[str] | None = None
+    reports: Iterable[tuple], json_handle: IO[str], csv_handle: IO[str] | None = None
 ) -> None:
     """Write ``reports`` in the order given: the one report writer.
 
@@ -121,10 +115,14 @@ def write_reports(
     at a time, so memory is what the reports are read from plus one batch.
     Only the names of entities with no MRR are kept past their batch, for
     the closing ``no_baseline_presence`` array.  Given ``csv_handle``, the
-    CSV view is written in the same loop; with no ``json_handle`` it is the
-    only text formatted.
+    CSV view is written in the same loop.
     """
-    rows = None if csv_handle is None else _csv_rows(csv_handle)
+    rows = None
+    if csv_handle is not None:
+        from csv import writer  # loaded only by runs that write the CSV view
+
+        rows = writer(csv_handle, lineterminator="\n")
+        rows.writerow(_CSV_HEADER)
     absent: list[str] = []
 
     def batches() -> Iterator[list[str]]:
@@ -136,25 +134,24 @@ def write_reports(
                 for combo, distance, rr, rank, size, count in items:
                     numbers = f"{distance:.6g}", f"{rr:.6g}", rank, size, count
                     lines.append((*head, "|".join(combo), *numbers))
-            if json_handle is not None:
-                if mrr is None:
-                    absent.append(entity)
-                listed = "[]"
-                if items:
-                    encoded = [
-                        _ITEM % (size, _combination(combo), count, distance, rank, rr)
-                        for combo, distance, rr, rank, size, count in items
-                    ]
-                    listed = "[\n        " + ",\n        ".join(encoded) + "\n      ]"
-                batch.append(
-                    _ENTRY % (
-                        presence,
-                        _json_string(entity),
-                        "null" if expected is None else repr(expected),
-                        listed,
-                        "null" if mrr is None else repr(mrr),
-                    )
+            if mrr is None:
+                absent.append(entity)
+            listed = "[]"
+            if items:
+                encoded = [
+                    _ITEM % (size, _combination(combo), count, distance, rank, rr)
+                    for combo, distance, rr, rank, size, count in items
+                ]
+                listed = "[\n        " + ",\n        ".join(encoded) + "\n      ]"
+            batch.append(
+                _ENTRY % (
+                    presence,
+                    _json_string(entity),
+                    "null" if expected is None else repr(expected),
+                    listed,
+                    "null" if mrr is None else repr(mrr),
                 )
+            )
             if n % _BATCH == 0:
                 if rows is not None:
                     rows.writerows(lines)
@@ -165,23 +162,18 @@ def write_reports(
             rows.writerows(lines)
         yield batch
 
-    if json_handle is None:
-        for _ in batches():
-            pass
-    else:
-        json_handle.writelines(_document(batches(), absent))
+    json_handle.writelines(_document(batches(), absent))
 
 
 def emit_report(reports: Iterable[EntityAnomalyReport], format: str = "json") -> str:
-    """Serialize any reports canonically, in entity order.
+    """Serialize any reports canonically as the JSON document, in entity order.
 
-    "json" round-trips; "csv" flattens the items, one row each.
+    "json" is the one ``format``; any other raises ``ValueError``.
     """
-    if format not in ("json", "csv"):
+    if format != "json":
         raise ValueError(f"unknown report format {format!r}")
     text = io.StringIO()
-    handles = (text,) if format == "json" else (None, text)
-    write_reports(sorted(reports, key=_ENTITY), *handles)
+    write_reports(sorted(reports, key=_ENTITY), text)
     return text.getvalue()
 
 
@@ -219,11 +211,12 @@ def all_or_nothing(paths: Sequence[Path]) -> Iterator[list[Path]]:
 
     ``paths`` share one directory, locked (``_locked``) from before the
     stage is made until after the commit; the lock is not re-entrant.  Once
-    the block completes, each filled name replaces its path (an old
-    directory is moved aside into the stage first), each path whose name is
-    unfilled is removed, and the stage goes with all it holds.  On any
-    exception, ``KeyboardInterrupt`` included, the stage is removed and the
-    paths stay as they were.
+    the block completes, every existing path is moved aside into the stage,
+    then each filled name takes its path, so a path whose name is unfilled
+    is gone; the stage goes with all it holds.  On any exception,
+    ``KeyboardInterrupt`` included, also one that stops the commit part-way,
+    the names placed go back, the paths moved aside return, and the stage
+    is removed, so the paths stay as they were.
     """
     directory = paths[0].parent
     directory.mkdir(parents=True, exist_ok=True)
@@ -231,21 +224,24 @@ def all_or_nothing(paths: Sequence[Path]) -> Iterator[list[Path]]:
         stage = Path(mkdtemp(prefix=_STAGE, dir=directory))
         aside = stage / _STAGE  # a name no path can have
         staged = [stage / path.name for path in paths]
+        moved: list[Path] = []
+        placed: list[Path] = []
         try:
             yield staged
-            # Filled names first: commit what the block wrote, then remove the rest.
-            for filled, path in sorted(zip(staged, paths), key=lambda pair: not pair[0].exists()):
-                if path.is_dir():
-                    aside.mkdir(exist_ok=True)
-                    os.rename(path, aside / path.name)
-                if filled.exists():
-                    os.replace(filled, path)
-                else:
-                    path.unlink(missing_ok=True)
-        except BaseException:
+            aside.mkdir()
             for path in paths:
-                if (aside / path.name).exists() and not path.exists():
-                    os.rename(aside / path.name, path)
+                if path.exists():
+                    os.rename(path, aside / path.name)
+                    moved.append(path)
+            for filled, path in zip(staged, paths):
+                if filled.exists():
+                    os.rename(filled, path)
+                    placed.append(path)
+        except BaseException:
+            for path in placed:
+                os.rename(path, stage / path.name)
+            for path in moved:
+                os.rename(aside / path.name, path)
             raise
         finally:
             rmtree(stage, ignore_errors=True)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 from comborank import AnalysisSpec, FieldMapping
 
 # --- two tracked customers with fixed rank profiles over eight expected combos ---
@@ -119,3 +122,20 @@ def tiny_browser_log() -> tuple[list[str], FieldMapping, AnalysisSpec]:
         categories=("Browser", "Country"), entity_field="Customer", p=(2, 1)
     )
     return lines, mapping, spec
+
+
+def _reference_csv(reports) -> str:
+    """The CSV view as ``csv.writer`` writes rows built from the report fields."""
+    text = io.StringIO()
+    rows = csv.writer(text, lineterminator="\n")
+    rows.writerow(
+        ["entity", "mrr", "expected_rank", "combination", "distance", "rr", "rank",
+         "cohort_size", "count"]
+    )
+    for r in sorted(reports, key=lambda r: r.entity):
+        for item in r.items:
+            rows.writerow([
+                r.entity, f"{r.mrr:.6g}", f"{r.expected_rank:.6g}", "|".join(item.combination),
+                f"{item.distance:.6g}", f"{item.rr:.6g}", item.rank, item.cohort_size, item.count,
+            ])
+    return text.getvalue()

@@ -40,7 +40,9 @@ from comborank.config import AnalysisSpec, RunSettings
 from comborank.synthgen import config_to_json, generate_log, oracle_recommend, synthetic_config
 from comborank.synthgen import generator as generator_module
 
-from fixture_logs import ENTITY_A, RANK_PROFILE_COLUMNS, rank_profile_log, tiny_browser_log
+from fixture_logs import (
+    ENTITY_A, RANK_PROFILE_COLUMNS, _reference_csv, rank_profile_log, tiny_browser_log
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +84,8 @@ class TestRunPipeline:
             "baseline.json", "reports.json", "reports.csv"
         ]
         reports = recommend_all(result.index, result.baseline, result.spec)
-        for path, format in zip(result.written[1:], ("json", "csv")):
-            assert path.read_bytes() == emit_report(reports, format).encode("utf-8")
+        for path, text in zip(result.written[1:], (emit_report(reports), _reference_csv(reports))):
+            assert path.read_bytes() == text.encode("utf-8")
 
     def test_keeps_only_the_requested_reports(self, sample_log, tmp_path):
         settings = RunSettings(categories=("cat1", "cat2", "cat3", "cat4"), entity="entity", k=4)
@@ -269,8 +271,8 @@ class TestCommands:
             "--format", "csv", "--threads", str(threads),
         ])
         assert rc == EXIT_OK
-        for format in ("json", "csv"):
-            expected = emit_report(reports, format).encode("utf-8")
+        for format, text in (("json", emit_report(reports)), ("csv", _reference_csv(reports))):
+            expected = text.encode("utf-8")
             assert (out_dir / f"reports.{format}").read_bytes() == expected, format
 
     def test_gzip_input(self, sample_log, tmp_path):
@@ -383,6 +385,33 @@ class TestAllOrNothingArtifacts:
                 main(failing)
         else:
             assert main(failing) == EXIT_INTERNAL
+        assert self._contents(out_dir) == before
+
+    def test_a_commit_failing_part_way_keeps_the_previous_files(
+        self, sample_log, tmp_path, monkeypatch
+    ):
+        """The second artifact's placement raises after the first was placed: all go back."""
+        out_dir = tmp_path / "out"
+        argv = ["recommend", "--input", str(sample_log), "--out", str(out_dir), *self._ARGV]
+        assert main([*argv, "--format", "csv"]) == EXIT_OK
+        before = self._contents(out_dir)
+        assert sorted(before) == ["baseline.json", "reports.csv", "reports.json"]
+        placed = []
+
+        def fail_second_placement(move):
+            def moving(source, target):
+                # A placement moves a staged name from the stage, a child of ``out``, into ``out``.
+                if Path(source).parent.parent == out_dir and Path(target).parent == out_dir:
+                    placed.append(target)
+                    if len(placed) == 2:
+                        raise OSError("disk full")
+                return move(source, target)
+            return moving
+
+        for name in ("rename", "replace"):
+            monkeypatch.setattr(os, name, fail_second_placement(getattr(os, name)))
+        assert main([*argv, "--format", "csv", "--k", "2", "--p", "1"]) == EXIT_INPUT
+        assert len(placed) == 2
         assert self._contents(out_dir) == before
 
     def test_failed_discover_keeps_the_previous_baseline(self, sample_log, tmp_path, monkeypatch):
@@ -829,13 +858,13 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 def test_import_loads_only_analysis_modules(tmp_path):
-    """A ``recommend`` run pays for no module that only synth, bench, fan-out or charts use.
+    """A ``recommend`` run pays for no module that only synth, bench, fan-out, charts or CSV use.
 
     Nor for ``dataclasses`` and the ``inspect`` it loads, which no class needs.
     """
     heavy = (
         "numpy", "multiprocessing", "urllib.request", "xml.sax", "hashlib", "_hashlib",
-        "dataclasses", "inspect", "html", "comborank.explain",
+        "dataclasses", "inspect", "html", "csv", "comborank.explain",
     )
     log = tmp_path / "log.csv"
     log.write_text("c1,entity\na,e1\nb,e2\n", encoding="utf-8")

@@ -1,4 +1,3 @@
-import csv
 import hashlib
 import html
 import io
@@ -28,8 +27,9 @@ from comborank.explain import (
     write_explanation,
 )
 from comborank.ingest import ingest_lines
+from comborank.reports import write_reports
 
-from fixture_logs import ENTITY_A, rank_profile_log
+from fixture_logs import ENTITY_A, _reference_csv, rank_profile_log
 
 _SVG_NS = "{http://www.w3.org/2000/svg}"
 _MARGIN_LEFT = 56
@@ -84,23 +84,6 @@ def _reference_json(reports) -> str:
         "no_baseline_presence": [r.entity for r in ordered if r.mrr is None],
     }
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-def _reference_csv(reports) -> str:
-    """The CSV view as ``csv.writer`` writes rows built from the report fields."""
-    text = io.StringIO()
-    rows = csv.writer(text, lineterminator="\n")
-    rows.writerow(
-        ["entity", "mrr", "expected_rank", "combination", "distance", "rr", "rank",
-         "cohort_size", "count"]
-    )
-    for r in sorted(reports, key=lambda r: r.entity):
-        for item in r.items:
-            rows.writerow([
-                r.entity, f"{r.mrr:.6g}", f"{r.expected_rank:.6g}", "|".join(item.combination),
-                f"{item.distance:.6g}", f"{item.rr:.6g}", item.rank, item.cohort_size, item.count,
-            ])
-    return text.getvalue()
 
 
 # Quotes, backslashes, control characters, line and paragraph separators and
@@ -274,7 +257,9 @@ class TestReportDocuments:
     def test_csv_flattens_items(self):
         _, _, reports = _pipeline()
         ordered = sorted(reports.values(), key=lambda r: r.entity)
-        text = emit_report(ordered, "csv")
+        csv_text = io.StringIO()
+        write_reports(ordered, io.StringIO(), csv_text)
+        text = csv_text.getvalue()
         lines = text.strip().split("\n")
         expected_rows = sum(len(r.items) for r in ordered)
         assert len(lines) == expected_rows + 1
@@ -282,8 +267,9 @@ class TestReportDocuments:
         assert text == _reference_csv(ordered)
 
     def test_unknown_format(self):
-        with pytest.raises(ValueError, match="unknown report format"):
-            emit_report([], "xml")
+        for format in ("xml", "csv"):
+            with pytest.raises(ValueError, match="unknown report format"):
+                emit_report([], format)
 
 
 class TestWriteExplanation:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gzip
 import itertools
 import os
@@ -24,6 +25,7 @@ from comborank import (
     resolve_mapping,
 )
 from comborank import ingest as ingest_module
+from comborank.cli import EXIT_INPUT, main
 from comborank.ingest import _add_cells
 from comborank.synthgen import generate_log, oracle_recommend, sparse_config
 
@@ -405,12 +407,53 @@ class TestIngestFile:
 
     def test_a_worker_reading_short_raises_with_the_path(self, tmp_path, monkeypatch):
         """A range past the end fails in its pool worker, and the parent names the input."""
+        monkeypatch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 16)
         path = self._write(tmp_path, "log.csv", "Browser,Country,Customer\n" + "F,US,x1\n" * 100)
         monkeypatch.setattr(
             ingest_module, "_chunk_ranges", lambda size, workers: [(0, size), (size, size + 9)]
         )
         with pytest.raises(EOFError, match=f"^{re.escape(str(path))}: truncated while read"):
             ingest_paths([path], SPEC, MAPPING, header=True, workers=2)
+
+    def test_a_truncated_gzip_beside_a_plain_file_fails_in_its_worker(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The pool worker reading the damaged file raises, and the message starts with its path.
+
+        Its header decodes, in the first block, so only the worker reaches the cut.
+        """
+        monkeypatch.setattr(ingest_module, "_MIN_CHUNK_BYTES", 16)
+        text = "Browser,Country,Customer\n" + "".join(f"F,US,x{i}\n" for i in range(20_000))
+        plain = self._write(tmp_path, "log.csv", text)
+        packed = tmp_path / "log.csv.gz"
+        data = gzip.compress(text.encode("utf-8"))
+        packed.write_bytes(data[: len(data) // 2])
+        with pytest.raises(EOFError, match=f"^{re.escape(str(packed))}: ") as raised:
+            ingest_paths([plain, packed], SPEC, MAPPING, header=True, workers=2)
+        # A pool re-raises a worker's exception with the worker's traceback as its cause.
+        assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+        rc = main([
+            "recommend", "--input", str(plain), "--input", str(packed),
+            "--out", str(tmp_path / "out"), "--categories", "Browser,Country",
+            "--entity", "Customer", "--threads", "2",
+        ])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {packed}: ")
+
+    def test_small_inputs_start_no_pool(self, tmp_path, monkeypatch):
+        """Inputs under ``_MIN_CHUNK_BYTES`` in all are counted here, at any worker count."""
+        one = self._write(tmp_path, "a.csv", "Browser,Country,Customer\n" + "F,US,x1\n" * 50)
+        two = tmp_path / "b.csv.gz"
+        two.write_bytes(gzip.compress(b"Browser,Country,Customer\n" + b"S,UK,x2\n" * 50))
+        expected = ingest_paths([one, two], SPEC, MAPPING, header=True, workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        _assert_same_aggregates(
+            ingest_paths([one, two], SPEC, MAPPING, header=True, workers=4), expected
+        )
 
     def test_no_trailing_newline(self, tmp_path):
         path = self._write(tmp_path, "log.csv", "Browser,Country,Customer\nF,US,x1")
@@ -428,7 +471,7 @@ class TestIngestFile:
         path = tmp_path / "log.csv.gz"
         with gzip.open(path, "wt", encoding="utf-8") as out:
             out.write("Browser,Country,Customer\nF,US,x1\nF,US,x2\n")
-        # worker counts above one quietly fall back to a single context
+        # one range, read to its end, whatever the worker count
         _, index = ingest_paths([path], SPEC, MAPPING, header=True, workers=4)
         assert index.cells[("F", "US")] == {"x1": 1, "x2": 1}
 
@@ -617,8 +660,12 @@ class TestLineRule:
             parts = [tmp / "part1.csv", tmp / "part2.csv"]
             for part, chunk in zip(parts, (lines[:cut], lines[cut:])):
                 part.write_bytes((prefix + "".join(chunk)).encode("utf-8"))
+            # plain byte ranges and a whole gzip file, counted by one pool
+            mixed = [parts[0], tmp / "part2.csv.gz"]
+            mixed[1].write_bytes(gzip.compress(parts[1].read_bytes()))
             documents = {}
-            for name, paths in (("plain", [path]), ("gzip", [packed]), ("split", parts)):
+            inputs = (("plain", [path]), ("gzip", [packed]), ("split", parts), ("mixed", mixed))
+            for name, paths in inputs:
                 for workers in (1, 2, 3, 4):
                     marginals, index = ingest_paths(
                         paths, spec, mapping, header=header, workers=workers

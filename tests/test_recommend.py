@@ -22,7 +22,8 @@ from comborank import reports as reports_module
 from comborank.reports import write_reports
 from comborank.synthgen import oracle_recommend
 
-from test_explain import _reference_csv, _reference_json
+from fixture_logs import _reference_csv
+from test_explain import _reference_json
 
 
 def _index(cells: dict) -> ContingencyIndex:
