@@ -101,11 +101,8 @@ def explain(
     """Assemble the cohort evidence behind one entity's report."""
     if report.entity != entity:
         raise ValueError(f"report is for {report.entity!r}, not {entity!r}")
-    baseline_charts = [
-        _chart_for(index, combo, entity, None)
-        for combo in baseline.sorted_combinations()
-        if index.holds(combo, entity)
-    ]
+    held = sorted(combo for combo in baseline.combinations if index.holds(combo, entity))
+    baseline_charts = [_chart_for(index, combo, entity, None) for combo in held]
     if not baseline_charts and not report.items and not index.observes(entity):
         raise KeyError(f"entity {entity!r} not observed in the index")
     anomaly_charts = tuple(

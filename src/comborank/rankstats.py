@@ -15,14 +15,15 @@ the absolute difference between its reciprocal rank there and its MRR, i.e.
 how far the entity sits from where its baseline behaviour says it should.
 
 One pass scores and orders the candidates: ``_best_candidates`` ranks each
-scored cohort once and keeps each entity's best k candidates in a heap.
-``Ranking`` runs it with the analysis's k, and its ``reports`` reads the
-heaps through ``_items``, the one place that knows their layout.  The run's
-files and ``recommend.recommend_all`` both take their reports from it.  The
-full-table names, views of the same pass that the benchmark uses and
-``comborank.__all__`` leaves out, are these: ``baseline_stats`` gives the
-reports' baseline summaries without items, ``compute_distances`` runs the
-pass with k at the number of scored cohorts so that every candidate is
+scored cohort once, in the index's own order, and keeps each entity's best k
+candidates in a bounded buffer.  A candidate carries its combination, so
+the buffer's sort order is the report order.  ``Ranking`` runs the pass with
+the analysis's k, and its ``reports`` reads the buffers through ``_items``.
+The run's files and ``recommend.recommend_all`` both take their reports
+from it.  The full-table names, views of the same pass that the benchmark
+uses and ``comborank.__all__`` leaves out, are these: ``baseline_stats``
+gives the reports' baseline summaries without items, ``compute_distances``
+runs the pass with k at the number of cells so that every candidate is
 kept, and ``recommend.top_k`` takes the first k of an entity's row.
 
 This module and ``ingest`` are the only readers of ``ContingencyIndex.cells``.
@@ -36,7 +37,6 @@ was chunked or how many workers built the index.
 from __future__ import annotations
 
 from bisect import bisect_right
-from heapq import heappush, heapreplace
 from math import fsum
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -62,7 +62,6 @@ class RankOrdering(NamedTuple):
         return len(self.entries)
 
 
-_COMBINATION = itemgetter(0)
 _COUNT = itemgetter(1)
 
 
@@ -142,13 +141,15 @@ def _baseline_summary(
 
     Each observed baseline cell's counts are sorted once and every entity's
     rank read from them, so the cost is one sort per baseline cell instead
-    of one per (entity, cell) pair.  Entities absent from every baseline
-    cell get no entry.  The per-entity rank lists are freed on return.
+    of one per (entity, cell) pair.  The cells are visited in set order,
+    which changes nothing: presence is a count and the MRR is an ``fsum``.
+    Entities absent from every baseline cell get no entry.  The per-entity
+    rank lists are freed on return.
     """
     if not baseline.combinations:
         raise ValueError("baseline set is empty")
     per_entity: dict[str, list[int]] = {}
-    for combo in baseline.sorted_combinations():
+    for combo in baseline.combinations:
         cell = index.cells.get(combo)
         if not cell:
             continue
@@ -194,54 +195,49 @@ class DistanceTable:
         return sum(len(per_combo) for per_combo in self.by_entity.values())
 
 
-_Cohorts = list[tuple[tuple[str, ...], dict[str, int]]]
-_Candidate = tuple[float, int, float, int, int]
-
-
-def _scored_cohorts(index: ContingencyIndex, baseline: BaselineSet, min_support: int) -> _Cohorts:
-    """The cohorts that get scored, as (combination, cell), combination ascending.
-
-    Baseline combinations are skipped, and so are combinations whose total
-    count falls below ``min_support``.
-    """
-    expected = baseline.combinations
-    return sorted(
-        (
-            (combo, cell)
-            for combo, cell in index.cells.items()
-            if combo not in expected and (min_support <= 1 or sum(cell.values()) >= min_support)
-        ),
-        key=_COMBINATION,
-    )
+_Candidate = tuple[float, tuple[str, ...], float, int, int, int]
 
 
 def _best_candidates(
-    cohorts: _Cohorts, mrrs: dict[str, float], k: int
+    index: ContingencyIndex,
+    baseline: BaselineSet,
+    min_support: int,
+    mrrs: dict[str, float],
+    k: int,
 ) -> dict[str, list[_Candidate]]:
-    """The one ranking pass: each entity's best k candidates over ``cohorts``.
+    """The one ranking pass: each entity's best k candidates, in report order.
 
-    Each cohort's counts are sorted once, and the competition rank of an
-    entity with count ``c`` is read from them: one plus the number of counts
-    above ``c``.  A one-entity cohort is rank 1 with no sort.  The distance
-    is how far the entity's reciprocal rank there sits from its MRR.
+    Cohorts are visited in ``index.cells`` order.  Baseline combinations are
+    skipped, and so are combinations whose total count falls below
+    ``min_support``.  Each cohort's counts are sorted once, and the
+    competition rank of an entity with count ``c`` is read from them: one
+    plus the number of counts above ``c``.  A one-entity cohort is rank 1
+    with no sort.  The distance is how far the entity's reciprocal rank
+    there sits from its MRR.
 
-    Each entity with an MRR keeps its candidates in a min-heap of
-    ``(distance, -position, rr, rank, count)``, ``position`` being the
-    cohort's place in ``cohorts``.  A larger key is a larger distance, or an
-    equal distance and a smaller combination, which is the report order.
-    Since positions only grow, a candidate whose distance merely equals the
-    heap's smallest has the smaller key and stays out: only a strictly
-    larger distance replaces the root.  An entity occurs once per cohort and
-    has its own heap, so the order in which a cohort's entities are visited
-    changes no heap.
+    A candidate is ``(-distance, combination, rr, rank, cohort_size,
+    count)``, so ascending order is report order: distance descending, then
+    combination ascending.  An entity occurs once per cohort, so two of its
+    candidates never share a combination.  Each entity with an MRR keeps a
+    buffer of candidates.  Once the buffer holds more than 2k, it is sorted
+    and cut to k, and the k-th becomes the entity's floor.  A candidate
+    enters only if it sorts before the floor: one after it has k candidates
+    ahead of it.  The top k of a union is the top k of its parts' top k, so
+    a final sort and cut leave exactly the best k.
     """
+    expected = baseline.combinations
+    limit = 2 * k
     best: dict[str, list[_Candidate]] = {}
-    for position, (_combo, cell) in enumerate(cohorts):
-        if len(cell) == 1:
+    floors: dict[str, _Candidate] = {}
+    for combo, cell in index.cells.items():
+        if combo in expected or (min_support > 1 and sum(cell.values()) < min_support):
+            continue
+        size = len(cell)
+        if size == 1:
             counts = None
         else:
             counts = sorted(cell.values())
-            above = len(counts) + 1
+            above = size + 1
         for entity, count in cell.items():
             mrr = mrrs.get(entity)
             if mrr is None:
@@ -252,28 +248,30 @@ def _best_candidates(
             else:
                 rank = above - bisect_right(counts, count)
                 rr = 1.0 / rank
-            distance = abs(rr - mrr)
-            heap = best.get(entity)
-            if heap is None:
-                best[entity] = [(distance, -position, rr, rank, count)]
-            elif len(heap) < k:
-                heappush(heap, (distance, -position, rr, rank, count))
-            elif distance > heap[0][0]:
-                heapreplace(heap, (distance, -position, rr, rank, count))
+            negative = -abs(rr - mrr)
+            buffer = best.get(entity)
+            if buffer is None:
+                best[entity] = [(negative, combo, rr, rank, size, count)]
+                continue
+            floor = floors.get(entity)
+            if floor is None or negative < floor[0] or (negative == floor[0] and combo < floor[1]):
+                buffer.append((negative, combo, rr, rank, size, count))
+                if len(buffer) > limit:
+                    buffer.sort()
+                    del buffer[k:]
+                    floors[entity] = buffer[-1]
+    for buffer in best.values():
+        buffer.sort()
+        del buffer[k:]
     return best
 
 
-def _items(heap: list[_Candidate], cohorts: _Cohorts) -> tuple[AnomalyItem, ...]:
-    """A heap's candidates as items in report order: distance descending, then combination.
-
-    The heap is sorted in place, so reading it again gives the same items.
-    """
-    heap.sort(reverse=True)
-    items = []
-    for distance, negative_position, rr, rank, count in heap:
-        combo, cell = cohorts[-negative_position]
-        items.append(AnomalyItem(combo, distance, rr, rank, len(cell), count))
-    return tuple(items)
+def _items(candidates: Iterable[_Candidate]) -> tuple[AnomalyItem, ...]:
+    """Candidates as items, in the order given."""
+    return tuple(
+        AnomalyItem(combo, -negative, rr, rank, size, count)
+        for negative, combo, rr, rank, size, count in candidates
+    )
 
 
 def compute_distances(
@@ -284,18 +282,18 @@ def compute_distances(
 ) -> DistanceTable:
     """Score every entity in every observed non-baseline combination.
 
-    This is the ranking pass with its bound at the number of scored cohorts,
-    so every candidate is kept, and each entity's row lists them in report
-    order.  Combinations whose total count falls below ``min_support`` are
-    skipped, as are entities without an MRR (no baseline presence).
+    This is the ranking pass with its bound at the number of cells, which no
+    entity's candidates can exceed, so every candidate is kept and each
+    entity's row lists them in report order.  Combinations whose total
+    count falls below ``min_support`` are skipped, as are entities without
+    an MRR (no baseline presence).
     """
     mrrs = {entity: s.mrr for entity, s in stats.items() if s.mrr is not None}
-    cohorts = _scored_cohorts(index, baseline, min_support)
-    best = _best_candidates(cohorts, mrrs, len(cohorts))
+    best = _best_candidates(index, baseline, min_support, mrrs, len(index.cells))
     by_entity = {}
     for entity in list(best):
-        # Popped, so each heap is freed as its row is built.
-        by_entity[entity] = {item.combination: item for item in _items(best.pop(entity), cohorts)}
+        # Popped, so each buffer is freed as its row is built.
+        by_entity[entity] = {item.combination: item for item in _items(best.pop(entity))}
     return DistanceTable(by_entity, stats)
 
 
@@ -304,34 +302,31 @@ class Ranking:
 
     ``entities`` lists every observed entity in order.  ``presence`` and
     ``mrrs`` hold the baseline summary of each entity present in a baseline
-    cell, and ``best`` maps it to its best k candidates, a heap whose
-    positions point into ``cohorts``.  An entity without an MRR has no
-    baseline presence, no items and no heap.
+    cell, and ``best`` maps it to its best k candidates in report order.  An
+    entity without an MRR has no baseline presence, no items and no
+    candidates.
     """
 
-    __slots__ = ("entities", "presence", "mrrs", "cohorts", "best")
+    __slots__ = ("entities", "presence", "mrrs", "best")
 
     def __init__(self, index: ContingencyIndex, baseline: BaselineSet, spec: AnalysisSpec) -> None:
         if index.total_records == 0:
             raise ValueError("empty index: no accepted records to analyse")
-        # Sorted first, so the set of names is freed before the heaps are built.
+        # Sorted first, so the set of names is freed before the candidates are kept.
         self.entities = sorted(index.entities())
         self.presence, self.mrrs = _baseline_summary(index, baseline)
-        self.cohorts = _scored_cohorts(index, baseline, spec.min_support)
-        self.best = _best_candidates(self.cohorts, self.mrrs, spec.k)
+        self.best = _best_candidates(index, baseline, spec.min_support, self.mrrs, spec.k)
 
     def reports(self, entities: Iterable[str]) -> Iterator[tuple]:
         """Each of ``entities``' reports, as a plain tuple in ``EntityAnomalyReport`` field order.
 
-        This is the one reader of the heaps: items come from ``_items``, in
-        report order.  An entity without an MRR gets an empty report.
+        This is the one reader of the candidates: items come from ``_items``,
+        in report order.  An entity without an MRR gets an empty report.
         """
-        mrrs, presence, best, cohorts = self.mrrs, self.presence, self.best, self.cohorts
+        mrrs, presence, best = self.mrrs, self.presence, self.best
         for entity in entities:
             mrr = mrrs.get(entity)
             if mrr is None:
                 yield entity, None, None, 0, ()
             else:
-                heap = best.get(entity)
-                items = _items(heap, cohorts) if heap else ()
-                yield entity, mrr, 1.0 / mrr, presence[entity], items
+                yield entity, mrr, 1.0 / mrr, presence[entity], _items(best.get(entity, ()))

@@ -286,12 +286,12 @@ class TestCommands:
 
 
 class TestStreamedReports:
-    """Ranking streams into the report files: memory is the index, the heaps and one report."""
+    """Ranking streams into the report files: memory is the index, the candidates and one report."""
 
     def test_rank_and_write_peak_stays_below_the_report_list(self, tmp_path, monkeypatch):
         # 20,000 entities seen once each outside the baseline, so they have
         # no MRR, and 50 with a baseline: reports the list would hold, but
-        # the heaps do not.
+        # the kept candidates do not.
         log = tmp_path / "log.csv"
         with open(log, "w", encoding="utf-8") as handle:
             handle.write("c1,c2,entity\n")

@@ -1,17 +1,32 @@
+import tracemalloc
 from math import fsum, isclose
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from comborank import BaselineSet, ContingencyIndex, mrr_from_ranks, rank_ordering
+from comborank import (
+    AnalysisSpec,
+    BaselineSet,
+    ContingencyIndex,
+    FieldMapping,
+    emit_report,
+    generate_baseline,
+    ingest_lines,
+    ingest_paths,
+    mrr_from_ranks,
+    rank_ordering,
+    recommend_all,
+)
 from comborank.rankstats import (
+    Ranking,
     _baseline_summary,
     _best_candidates,
     _ranked,
     baseline_stats,
     compute_distances,
 )
+from comborank.synthgen import generate_log, oracle_recommend, sparse_config
 
 
 def _index(cells: dict) -> ContingencyIndex:
@@ -204,12 +219,77 @@ class TestRanksFromCounts:
     @example({"e1": 2, "e2": 2, "e3": 1, "e4": 2})
     def test_equals_the_ordered_ranks(self, cell):
         expected = {entity: rank for entity, _count, rank in _ranked(cell)}
-        # k = 1 and one cohort: each entity's heap holds its one candidate.
-        best = _best_candidates([(("a", "x"), cell)], {entity: 0.5 for entity in cell}, 1)
-        assert {entity: heap[0][3] for entity, heap in best.items()} == expected
-        assert {entity: heap[0][2] for entity, heap in best.items()} == {
+        # k = 1 and one scored cohort: each entity keeps its one candidate.
+        index = _index({("a", "x"): cell, ("b", "y"): {"e1": 1}})
+        mrrs = {entity: 0.5 for entity in cell}
+        best = _best_candidates(index, _baseline([("b", "y")]), 1, mrrs, 1)
+        assert {entity: kept[0][3] for entity, kept in best.items()} == expected
+        assert {entity: kept[0][2] for entity, kept in best.items()} == {
             entity: 1.0 / rank for entity, rank in expected.items()
         }
         presence, mrrs = _baseline_summary(_index({("a", "x"): cell}), _baseline([("a", "x")]))
         assert presence == {entity: 1 for entity in expected}
         assert mrrs == {entity: 1.0 / rank for entity, rank in expected.items()}
+
+
+class TestBoundedBuffer:
+    """Each entity's candidates: ties on distance break by combination, within 2k + 1 kept."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_equal_distances_keep_the_smallest_combinations(self, tmp_path, k):
+        # e1 is rank 2 in the baseline cell (a, x), so its MRR is 0.5, and rank 1 in
+        # 50 one-entity cohorts, each 0.5 from it.  Written largest combination
+        # first, so the index's order is the reverse of the report order.
+        lines = ["a,x,e2\n"] * 5 + ["a,x,e1\n"]
+        lines += [f"v{i:02d},x,e1\n" for i in reversed(range(50))]
+        log = tmp_path / "log.csv"
+        log.write_text("C1,C2,E\n" + "".join(lines), encoding="utf-8")
+        spec = AnalysisSpec(("C1", "C2"), "E", p=1, k=k)
+        marginals, index = ingest_lines(lines, spec, FieldMapping(("C1", "C2", "E")))
+        reports = recommend_all(index, generate_baseline(marginals, spec), spec)
+        e1 = next(report for report in reports if report.entity == "e1")
+        assert [item.combination for item in e1.items] == [(f"v{i:02d}", "x") for i in range(k)]
+        assert [item.distance for item in e1.items] == [0.5] * k
+        assert emit_report(reports) == emit_report(oracle_recommend(log, spec))
+
+    def test_traced_peak_stays_within_the_bound(self):
+        # One entity with 10,000 candidates, all at distance 0.5, so every one
+        # enters the buffer and it is cut each time it passes 2k = 10.
+        cells = {("a", "x"): {"e1": 1, "e2": 5}}
+        cells.update({(f"v{i:05d}", "x"): {"e1": 1} for i in range(10_000)})
+        index = _index(cells)
+        spec = AnalysisSpec(("C1", "C2"), "E", k=5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ranking = Ranking(index, _baseline([("a", "x")]), spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # Kept whole, the 10,000 candidates would take over 1 MB.
+        assert peak < 64 * 1024, peak
+        assert [candidate[1] for candidate in ranking.best["e1"]] == [
+            (f"v{i:05d}", "x") for i in range(5)
+        ]
+
+
+@pytest.fixture(scope="module")
+def sparse_log(tmp_path_factory):
+    config = sparse_config(5, 10_000)
+    log = tmp_path_factory.mktemp("sparse") / "sparse.csv"
+    generate_log(config, log)
+    return config, log
+
+
+@pytest.mark.parametrize("k, min_support", [(1, 1), (50, 1), (50, 2), (50, 20)])
+def test_sparse_log_matches_the_oracle(sparse_log, k, min_support):
+    """A log where most cohorts hold one entity, so most candidates tie at rank 1.
+
+    No cell of this log reaches a support of 20, so that case reports no items.
+    """
+    config, log = sparse_log
+    spec = config.analysis_spec(p=(20, 4, 2, 2), k=k, min_support=min_support)
+    marginals, index = ingest_paths([log], spec, config.field_mapping(), header=True, workers=1)
+    reports = recommend_all(index, generate_baseline(marginals, spec), spec)
+    assert emit_report(reports) == emit_report(oracle_recommend(log, spec))

@@ -147,13 +147,13 @@ class TestBoundedPass:
         st.integers(0, 3),
     )
     def test_equals_top_k_of_the_full_table(self, cells, p, k, min_support):
-        """``recommend_all``'s per-entity heaps report what the oracle's full sort does.
+        """``recommend_all``'s per-entity buffers report what the oracle's full sort does.
 
         The drawn cells are written out as log lines, the baseline comes from
         their value counts, and ``oracle_recommend`` reads the log back, sorts
         every scored pair and keeps the first k.  Counts of 1 to 3 make
         ranks, and so distances, tie across combinations, which is where a
-        heap's tie-break and its replace test could differ from a full sort.
+        buffer's floor and its cut could differ from a full sort.
         """
         spec = AnalysisSpec(("C1", "C2"), "E", p=p, k=k, min_support=min_support)
         lines = [
