@@ -88,14 +88,15 @@ class BenchResult(NamedTuple):
 
 
 class PipelineResult:
-    """What a run has computed and written; ``discover`` leaves the last three empty.
+    """What a run has computed and written; ``discover`` leaves the last four empty.
 
     ``written`` lists the artifacts ``run_pipeline`` wrote, ``count`` is the
-    number of reports in them and ``kept`` maps each entity it was asked to
-    keep to its report.
+    number of reports in them, ``no_baseline`` the number of those with no
+    baseline presence, and ``kept`` maps each entity it was asked to keep to
+    its report.
     """
 
-    __slots__ = ("spec", "index", "baseline", "times", "written", "count", "kept")
+    __slots__ = ("spec", "index", "baseline", "times", "written", "count", "no_baseline", "kept")
 
     def __init__(
         self, spec: AnalysisSpec, index: ContingencyIndex, baseline: BaselineSet, times: StageTimes
@@ -106,6 +107,7 @@ class PipelineResult:
         self.times = times
         self.written: list[Path] = []
         self.count = 0
+        self.no_baseline = 0
         self.kept: dict[str, EntityAnomalyReport] = {}
 
 
@@ -162,9 +164,10 @@ def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
     Writes baseline.json, reports.json, for the csv format reports.csv, and
     for the entities in ``keep`` their charts in explanations/, in
     ``config.out_dir``.  The report files are written from the ranking's
-    report rows in entity order, a batch of entities at a time; report
-    objects are built only for the entities in ``keep``.  Each of those
-    must occur in the input; that is checked before anything is written.
+    rows and candidates in entity order, a batch of entities at a time;
+    report objects are built only for the entities in ``keep``.  Each of
+    those must occur in the input; that is checked before anything is
+    written.
 
     The artifacts are committed as one (``all_or_nothing``), and those of
     ``_ARTIFACTS`` the run did not write are removed; a failed run leaves
@@ -181,11 +184,12 @@ def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
         _write_baseline(result.baseline, staged[0])
         ranking = Ranking(result.index, result.baseline, result.spec)
         result.count = len(ranking.entities)
+        result.no_baseline = result.count - len(ranking.rows)
         result.kept = {row[0]: EntityAnomalyReport._make(row) for row in ranking.reports(wanted)}
         reports = staged[1:3] if config.report_format == "csv" else staged[1:2]
         with ExitStack() as stack:
             handles = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in reports]
-            write_reports(ranking.reports(ranking.entities), *handles)
+            write_reports(ranking, *handles)
         if wanted:
             # The chart module is loaded only here, so recommend never compiles it.
             from .explain import explain, write_explanation
@@ -205,7 +209,10 @@ def _print_summary(result: PipelineResult, threads: int) -> None:
         f"in {times.ingest_s:.2f}s [{threads} worker(s)]"
     )
     print(f"baseline: {result.baseline.size} expected combinations in {times.baseline_s:.2f}s")
-    print(f"rank: {result.count} entity reports in {times.rank_s:.2f}s")
+    print(
+        f"rank: {result.count} entity reports ({result.no_baseline} with no baseline) "
+        f"in {times.rank_s:.2f}s"
+    )
     print(f"discovery time: {times.total_s:.2f}s ({rate:,.0f} entries/s)")
     for path in result.written:
         print(f"wrote {path}")

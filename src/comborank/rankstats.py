@@ -18,13 +18,15 @@ One pass scores and orders the candidates: ``_best_candidates`` ranks each
 scored cohort once, in the index's own order, and keeps each entity's best k
 candidates in a bounded buffer.  A candidate carries its combination, so
 the buffer's sort order is the report order.  ``Ranking`` runs the pass with
-the analysis's k, and its ``reports`` reads the buffers through ``_items``.
-The run's files and ``recommend.recommend_all`` both take their reports
-from it.  The full-table names, views of the same pass that the benchmark
-uses and ``comborank.__all__`` leaves out, are these: ``baseline_stats``
-gives the reports' baseline summaries without items, ``compute_distances``
-runs the pass with k at the number of cells so that every candidate is
-kept, and ``recommend.top_k`` takes the first k of an entity's row.
+the analysis's k and keeps one row per entity with an MRR, its buffer
+included.  The run's files are written from those rows, and its
+``reports``, which reads the buffers through ``_items``, gives
+``recommend.recommend_all`` its reports.  The full-table names, views of
+the same pass that the benchmark uses and ``comborank.__all__`` leaves out,
+are these: ``baseline_stats`` gives the reports' baseline summaries without
+items, ``compute_distances`` runs the pass with k at the number of cells so
+that every candidate is kept, and ``recommend.top_k`` takes the first k of
+an entity's row.
 
 This module and ``ingest`` are the only readers of ``ContingencyIndex.cells``.
 
@@ -297,36 +299,67 @@ def compute_distances(
     return DistanceTable(by_entity, stats)
 
 
-class Ranking:
-    """What the one ranking pass leaves; ``reports`` reads each entity's report from it.
+_Row = tuple[float | None, float | None, int, Sequence[_Candidate]]
 
-    ``entities`` lists every observed entity in order.  ``presence`` and
-    ``mrrs`` hold the baseline summary of each entity present in a baseline
-    cell, and ``best`` maps it to its best k candidates in report order.  An
-    entity without an MRR has no baseline presence, no items and no
-    candidates.
+
+class Ranking:
+    """What the one ranking pass leaves, as the report writer reads it.
+
+    ``entities`` lists every observed entity in order.  ``rows`` maps each
+    entity with an MRR to ``(mrr, expected_rank, baseline_presence,
+    candidates)``, its best k candidates in report order.  An entity without
+    a row has no MRR, no baseline presence and no items.  ``reports`` reads
+    each entity's report from it, and ``of_reports`` builds the same shape
+    from any reports.
     """
 
-    __slots__ = ("entities", "presence", "mrrs", "best")
+    __slots__ = ("entities", "rows")
 
     def __init__(self, index: ContingencyIndex, baseline: BaselineSet, spec: AnalysisSpec) -> None:
         if index.total_records == 0:
             raise ValueError("empty index: no accepted records to analyse")
         # Sorted first, so the set of names is freed before the candidates are kept.
         self.entities = sorted(index.entities())
-        self.presence, self.mrrs = _baseline_summary(index, baseline)
-        self.best = _best_candidates(index, baseline, spec.min_support, self.mrrs, spec.k)
+        presence, mrrs = _baseline_summary(index, baseline)
+        best = _best_candidates(index, baseline, spec.min_support, mrrs, spec.k)
+        self.rows: dict[str, _Row] = {
+            entity: (mrr, 1.0 / mrr, presence[entity], best.get(entity, ()))
+            for entity, mrr in mrrs.items()
+        }
+
+    @classmethod
+    def of_reports(cls, reports: Iterable[EntityAnomalyReport]) -> Ranking:
+        """``reports`` in the order given, as rows and candidates.
+
+        A report with no MRR, no expected rank, no presence and no items gets
+        no row, as an entity without an MRR has none in a ranking.  Rows are
+        keyed by entity, so two reports of one entity raise ``ValueError``.
+        """
+        ranking = cls.__new__(cls)
+        ranking.entities = []
+        ranking.rows = {}
+        for entity, mrr, expected, presence, items in reports:
+            ranking.entities.append(entity)
+            if mrr is not None or expected is not None or presence != 0 or items:
+                ranking.rows[entity] = mrr, expected, presence, [
+                    (-distance, combo, rr, rank, size, count)
+                    for combo, distance, rr, rank, size, count in items
+                ]
+        if len(set(ranking.entities)) < len(ranking.entities):
+            raise ValueError("more than one report of an entity")
+        return ranking
 
     def reports(self, entities: Iterable[str]) -> Iterator[tuple]:
         """Each of ``entities``' reports, as a plain tuple in ``EntityAnomalyReport`` field order.
 
-        This is the one reader of the candidates: items come from ``_items``,
-        in report order.  An entity without an MRR gets an empty report.
+        Items come from ``_items``, in report order.  An entity without a row
+        gets an empty report.
         """
-        mrrs, presence, best = self.mrrs, self.presence, self.best
+        rows = self.rows
         for entity in entities:
-            mrr = mrrs.get(entity)
-            if mrr is None:
+            row = rows.get(entity)
+            if row is None:
                 yield entity, None, None, 0, ()
             else:
-                yield entity, mrr, 1.0 / mrr, presence[entity], _items(best.get(entity, ()))
+                mrr, expected, presence, candidates = row
+                yield entity, mrr, expected, presence, _items(candidates)

@@ -2,18 +2,21 @@
 
 The JSON document sorts keys and entities and keeps floats at repr
 precision, so two runs agree on the document bytes exactly when they agree
-on every number.  It is written directly from ``%`` templates, byte for byte
-what ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``
-gives, because that call runs the pure-Python encoder whenever ``indent`` is
-set.  Every float is finite: MRR, its inverse, rr and distance all come from
-positive ranks.  The CSV view has one row per item (entities without items
-do not appear) with floats at six significant digits, and joins combination
-values with ``|``.
+on every number.  It is written directly: constant text around the names
+of each run of entities with no baseline, and f-strings for the others and
+their items, each distinct positive float given to ``repr`` once.  That is
+byte for byte what ``json.dumps(doc, sort_keys=True, indent=2,
+ensure_ascii=False)`` gives, because that call runs the pure-Python encoder
+whenever ``indent`` is set.  Every float is finite: MRR, its inverse, rr
+and distance all come from positive ranks.  The CSV view has one row per
+item (entities without items do not appear) with floats at six significant
+digits, and joins combination values with ``|``.
 
 ``write_reports`` is the one writer of both.  A run writes its report files
-through it straight from the rows of ``rankstats.Ranking.reports``, and
-``emit_report`` serializes any reports as the JSON document through it, in
-entity order.
+through it straight from the rows and candidates of its
+``rankstats.Ranking``, and ``emit_report`` serializes any reports as the
+JSON document through it, in entity order, as ``Ranking.of_reports`` gives
+them.
 ``all_or_nothing`` commits the files and directories a command writes,
 holding a lock on their directory: a directory another run holds raises
 ``BlockingIOError``, which the CLI maps to exit 2.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import io
 import os
 from contextlib import contextmanager
+from itertools import islice
 from json.encoder import encode_basestring as _json_string
 from operator import attrgetter
 from pathlib import Path
@@ -31,7 +35,7 @@ from shutil import rmtree
 from tempfile import mkdtemp
 from typing import IO, Iterable, Iterator, Sequence
 
-from .rankstats import EntityAnomalyReport
+from .rankstats import EntityAnomalyReport, Ranking
 
 try:
     import fcntl
@@ -43,27 +47,11 @@ SCHEMA_VERSION = 1
 # Entities per batch of encoded text joined and written at once.
 _BATCH = 256
 
-# One entity's entry in the ``entities`` array, keys sorted.  ``expected_rank``
-# and ``mrr`` come in as text, so that either may be ``null``.
-_ENTRY = (
-    "{\n"
-    '      "baseline_presence": %r,\n'
-    '      "entity": %s,\n'
-    '      "expected_rank": %s,\n'
-    '      "items": %s,\n'
-    '      "mrr": %s\n'
-    "    }"
-)
-_ITEM = (
-    "{\n"
-    '          "cohort_size": %r,\n'
-    '          "combination": %s,\n'
-    '          "count": %r,\n'
-    '          "distance": %r,\n'
-    '          "rank": %r,\n'
-    '          "rr": %r\n'
-    "        }"
-)
+# The entry of an entity with no MRR, no presence and no items, around its
+# encoded name, and the text between two such entries.
+_UNSCORED_OPEN = '{\n      "baseline_presence": 0,\n      "entity": '
+_UNSCORED_CLOSE = ',\n      "expected_rank": null,\n      "items": [],\n      "mrr": null\n    }'
+_UNSCORED_BETWEEN = _UNSCORED_CLOSE + ",\n    " + _UNSCORED_OPEN
 _CSV_HEADER = (
     "entity", "mrr", "expected_rank", "combination", "distance", "rr", "rank", "cohort_size",
     "count",
@@ -72,10 +60,31 @@ _CSV_HEADER = (
 _ENTITY = attrgetter("entity")
 
 
+class _Reprs(dict):
+    """Each float's ``repr``, kept for the positive ones.
+
+    ``0.0 == -0.0`` as keys while their texts differ, so a non-positive
+    float is formatted anew each time.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, number: float) -> str:
+        text = repr(number)
+        if number > 0:
+            self[number] = text
+        return text
+
+
 def _combination(values: Sequence[str]) -> str:
     if not values:
         return "[]"
     return "[\n            " + ",\n            ".join(map(_json_string, values)) + "\n          ]"
+
+
+def _unscored(names: list[str]) -> str:
+    """The entries of a run of entities without a row, one ``str.join``."""
+    return _UNSCORED_OPEN + _UNSCORED_BETWEEN.join(map(_json_string, names)) + _UNSCORED_CLOSE
 
 
 def _array(key: str, batches: Iterable[list[str]]) -> Iterator[str]:
@@ -105,17 +114,20 @@ def _document(entry_batches: Iterable[list[str]], absent: list[str]) -> Iterator
 
 
 def write_reports(
-    reports: Iterable[tuple], json_handle: IO[str], csv_handle: IO[str] | None = None
+    ranking: Ranking, json_handle: IO[str], csv_handle: IO[str] | None = None
 ) -> None:
-    """Write ``reports`` in the order given: the one report writer.
+    """Write the reports of ``ranking.entities``, in that order: the one report writer.
 
-    ``reports`` are ``EntityAnomalyReport``s or plain tuples in its field
-    order, as ``Ranking.reports`` yields them; a null MRR or expected rank
-    is written as ``null``.  Text is joined and written a batch of entities
-    at a time, so memory is what the reports are read from plus one batch.
-    Only the names of entities with no MRR are kept past their batch, for
-    the closing ``no_baseline_presence`` array.  Given ``csv_handle``, the
-    CSV view is written in the same loop.
+    Each entity's report is read from ``ranking.rows``: a row ``(mrr,
+    expected_rank, baseline_presence, candidates)``, where a null MRR or
+    expected rank is written as ``null``, or no row for an entity with no
+    MRR, no presence and no items.  MRR, expected rank, rr and distance are
+    floats.  Text is joined and written a batch of at most ``_BATCH``
+    entities at a time, so memory is the ranking plus one batch.  Each run
+    of entities without a row within a batch is one ``str.join`` of their
+    names around constant text.  Only the names of entities with no MRR are
+    kept past their batch, for the closing ``no_baseline_presence`` array.
+    Given ``csv_handle``, the CSV view is written in the same loop.
     """
     rows = None
     if csv_handle is not None:
@@ -124,56 +136,74 @@ def write_reports(
         rows = writer(csv_handle, lineterminator="\n")
         rows.writerow(_CSV_HEADER)
     absent: list[str] = []
+    reprs = _Reprs()
 
     def batches() -> Iterator[list[str]]:
-        batch: list[str] = []
-        lines: list[tuple] = []
-        for n, (entity, mrr, expected, presence, items) in enumerate(reports, 1):
-            if rows is not None and items:
-                head = entity, f"{mrr:.6g}", f"{expected:.6g}"
-                for combo, distance, rr, rank, size, count in items:
-                    numbers = f"{distance:.6g}", f"{rr:.6g}", rank, size, count
-                    lines.append((*head, "|".join(combo), *numbers))
-            if mrr is None:
-                absent.append(entity)
-            listed = "[]"
-            if items:
-                encoded = [
-                    _ITEM % (size, _combination(combo), count, distance, rank, rr)
-                    for combo, distance, rr, rank, size, count in items
-                ]
-                listed = "[\n        " + ",\n        ".join(encoded) + "\n      ]"
-            batch.append(
-                _ENTRY % (
-                    presence,
-                    _json_string(entity),
-                    "null" if expected is None else repr(expected),
-                    listed,
-                    "null" if mrr is None else repr(mrr),
+        names = iter(ranking.entities)
+        row_of = ranking.rows.get
+        while chunk := list(islice(names, _BATCH)):
+            batch: list[str] = []
+            lines: list[tuple] = []
+            run: list[str] = []
+            for entity in chunk:
+                row = row_of(entity)
+                if row is None:
+                    run.append(entity)
+                    continue
+                if run:
+                    batch.append(_unscored(run))
+                    absent.extend(run)
+                    run = []
+                mrr, expected, presence, candidates = row
+                if mrr is None:
+                    absent.append(entity)
+                listed = "[]"
+                if candidates:
+                    if rows is not None:
+                        head = entity, f"{mrr:.6g}", f"{expected:.6g}"
+                        for negative, combo, rr, rank, size, count in candidates:
+                            numbers = f"{-negative:.6g}", f"{rr:.6g}", rank, size, count
+                            lines.append((*head, "|".join(combo), *numbers))
+                    listed = "[\n        " + ",\n        ".join([
+                        "{\n"
+                        f'          "cohort_size": {size},\n'
+                        f'          "combination": {_combination(combo)},\n'
+                        f'          "count": {count},\n'
+                        f'          "distance": {reprs[-negative]},\n'
+                        f'          "rank": {rank},\n'
+                        f'          "rr": {reprs[rr]}\n'
+                        "        }"
+                        for negative, combo, rr, rank, size, count in candidates
+                    ]) + "\n      ]"
+                batch.append(
+                    "{\n"
+                    f'      "baseline_presence": {presence},\n'
+                    f'      "entity": {_json_string(entity)},\n'
+                    f'      "expected_rank": {"null" if expected is None else reprs[expected]},\n'
+                    f'      "items": {listed},\n'
+                    f'      "mrr": {"null" if mrr is None else reprs[mrr]}\n'
+                    "    }"
                 )
-            )
-            if n % _BATCH == 0:
-                if rows is not None:
-                    rows.writerows(lines)
-                    lines = []
-                yield batch
-                batch = []
-        if rows is not None:
-            rows.writerows(lines)
-        yield batch
+            if run:
+                batch.append(_unscored(run))
+                absent.extend(run)
+            if rows is not None:
+                rows.writerows(lines)
+            yield batch
 
     json_handle.writelines(_document(batches(), absent))
 
 
 def emit_report(reports: Iterable[EntityAnomalyReport], format: str = "json") -> str:
-    """Serialize any reports canonically as the JSON document, in entity order.
+    """Serialize any reports, one per entity, canonically as the JSON document, in entity order.
 
-    "json" is the one ``format``; any other raises ``ValueError``.
+    "json" is the one ``format``; any other raises ``ValueError``, and so do
+    two reports of one entity.
     """
     if format != "json":
         raise ValueError(f"unknown report format {format!r}")
     text = io.StringIO()
-    write_reports(sorted(reports, key=_ENTITY), text)
+    write_reports(Ranking.of_reports(sorted(reports, key=_ENTITY)), text)
     return text.getvalue()
 
 

@@ -150,6 +150,23 @@ class TestCommands:
         assert all(len(entry["items"]) <= 2 for entry in doc["entities"])
         assert (out_dir / "reports.csv").is_file()
 
+    def test_recommend_counts_the_reports_with_no_baseline(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "c1,c2,entity\n" + "a,x,base1\n" * 5 + "a,x,base2\nb,y,lone1\nb,z,lone2\nb,y,base1\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        rc = main([
+            "recommend", "--input", str(log), "--out", str(out_dir),
+            "--categories", "c1,c2", "--entity", "entity", "--p", "1",
+        ])
+        assert rc == EXIT_OK
+        doc = json.loads((out_dir / "reports.json").read_text())
+        assert doc["no_baseline_presence"] == ["lone1", "lone2"]
+        printed = capsys.readouterr().out
+        assert "rank: 4 entity reports (2 with no baseline) in " in printed
+
     def test_recommend_without_config_file(self, sample_log, tmp_path):
         out_dir = tmp_path / "out"
         rc = main([

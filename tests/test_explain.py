@@ -27,6 +27,7 @@ from comborank.explain import (
     write_explanation,
 )
 from comborank.ingest import ingest_lines
+from comborank.rankstats import Ranking
 from comborank.reports import write_reports
 
 from fixture_logs import ENTITY_A, _reference_csv, rank_profile_log
@@ -251,6 +252,25 @@ class TestReportDocuments:
         *(EntityAnomalyReport(f"ghost{i}", None, None, 0, ()) for i in range(3)),
         EntityAnomalyReport("seen", 0.5, 2.0, 1, ()),
     ])
+    # Floats whose texts the writer reuses: zeros of both signs, one value in
+    # each float field of different entities, the least subnormal, and a sum
+    # that repr gives at 17 digits.
+    @example([
+        EntityAnomalyReport("a", 0.0, -0.0, 1, (AnomalyItem(("c",), -0.0, 0.0, 1, 1, 1),)),
+        EntityAnomalyReport("b", -0.0, 0.0, 1, (AnomalyItem(("c",), 0.0, -0.0, 1, 1, 1),)),
+    ])
+    @example([
+        EntityAnomalyReport("mrr", 0.25, 4.0, 1, ()),
+        EntityAnomalyReport("expected", 4.0, 0.25, 1, ()),
+        EntityAnomalyReport("rr", 1.0, 1.0, 2, (AnomalyItem(("c",), 0.75, 0.25, 4, 4, 1),)),
+        EntityAnomalyReport("distance", 0.5, 2.0, 2, (AnomalyItem(("c",), 0.25, 0.75, 1, 4, 3),)),
+    ])
+    @example([
+        EntityAnomalyReport("tiny", 5e-324, 5e-324, 1, (AnomalyItem(("c",), 5e-324, 5e-324, 1, 1, 1),))
+    ])
+    @example([
+        EntityAnomalyReport("sum", 0.1 + 0.2, 0.3, 1, (AnomalyItem(("c",), 0.1 + 0.2, 0.3, 1, 1, 1),))
+    ])
     def test_json_matches_standard_encoder(self, reports):
         assert emit_report(reports, "json") == _reference_json(reports)
 
@@ -258,13 +278,21 @@ class TestReportDocuments:
         _, _, reports = _pipeline()
         ordered = sorted(reports.values(), key=lambda r: r.entity)
         csv_text = io.StringIO()
-        write_reports(ordered, io.StringIO(), csv_text)
+        write_reports(Ranking.of_reports(ordered), io.StringIO(), csv_text)
         text = csv_text.getvalue()
         lines = text.strip().split("\n")
         expected_rows = sum(len(r.items) for r in ordered)
         assert len(lines) == expected_rows + 1
         assert lines[0].startswith("entity,mrr,expected_rank,combination,distance")
         assert text == _reference_csv(ordered)
+
+    def test_two_reports_of_one_entity_raise(self):
+        for second in (
+            EntityAnomalyReport("twice", None, None, 0, ()),
+            EntityAnomalyReport("twice", 0.5, 2.0, 1, ()),
+        ):
+            with pytest.raises(ValueError, match="more than one report"):
+                emit_report([EntityAnomalyReport("twice", 1.0, 1.0, 1, ()), second])
 
     def test_unknown_format(self):
         for format in ("xml", "csv"):

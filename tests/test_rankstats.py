@@ -269,7 +269,7 @@ class TestBoundedBuffer:
             tracemalloc.stop()
         # Kept whole, the 10,000 candidates would take over 1 MB.
         assert peak < 64 * 1024, peak
-        assert [candidate[1] for candidate in ranking.best["e1"]] == [
+        assert [candidate[1] for candidate in ranking.rows["e1"][3]] == [
             (f"v{i:05d}", "x") for i in range(5)
         ]
 

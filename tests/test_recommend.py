@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from comborank import (
     AnalysisSpec,
+    AnomalyItem,
     BaselineSet,
     ContingencyIndex,
+    EntityAnomalyReport,
     FieldMapping,
     emit_report,
     generate_baseline,
@@ -184,13 +186,13 @@ class TestReportWriter:
             max_size=6,
         ),
         st.integers(1, 3),
-        st.sampled_from([1, 2, 256]),
+        st.sampled_from([1, 2, 3, 256]),
         st.data(),
     )
     def test_writes_what_the_standard_library_gives(self, cells, k, batch, data):
         """The writer's bytes for the ranking's rows equal ``json.dumps`` and ``csv.writer``'s.
 
-        Batches of one and two entities put batch ends inside both arrays.
+        Batches of one to three entities put batch ends inside both arrays.
         """
         index = _index(cells)
         baseline = _baseline(data.draw(st.sets(st.sampled_from(sorted(cells)), min_size=1)))
@@ -200,6 +202,37 @@ class TestReportWriter:
         json_text, csv_text = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(reports_module, "_BATCH", batch)
-            write_reports(ranking.reports(ranking.entities), json_text, csv_text)
+            write_reports(ranking, json_text, csv_text)
+        assert json_text.getvalue() == _reference_json(reports)
+        assert csv_text.getvalue() == _reference_csv(reports)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 256])
+    @pytest.mark.parametrize(
+        "layout",
+        ["first unscored", "last unscored", "all unscored", "none unscored", "long run"],
+    )
+    def test_runs_and_batches_meet_at_their_edges(self, batch, layout):
+        """Runs of entities without a row start, end and cross batch ends as the encoder allows.
+
+        The long run is ``3 * _BATCH + 1`` entities without a row between two scored ones.
+        """
+        shapes = {
+            "first unscored": "uss",
+            "last unscored": "ssu",
+            "all unscored": "uuuu",
+            "none unscored": "sss",
+            "long run": "s" + "u" * (3 * batch + 1) + "s",
+        }
+        item = AnomalyItem(("x", "y"), 0.25, 0.25, 4, 5, 1)
+        reports = [
+            EntityAnomalyReport(f"{i:04d}", 0.5, 2.0, 1, (item,))
+            if shape == "s"
+            else EntityAnomalyReport(f"{i:04d}", None, None, 0, ())
+            for i, shape in enumerate(shapes[layout])
+        ]
+        json_text, csv_text = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reports_module, "_BATCH", batch)
+            write_reports(Ranking.of_reports(reports), json_text, csv_text)
         assert json_text.getvalue() == _reference_json(reports)
         assert csv_text.getvalue() == _reference_csv(reports)
