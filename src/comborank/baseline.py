@@ -1,13 +1,16 @@
 """Expected-combination construction from marginal value counts.
 
 The baseline set is the Cartesian product of each category's most frequent
-values (the per-category count comes from the analysis spec).  Everything
-observed outside that product is a candidate for anomaly scoring.
+values (the per-category count comes from the analysis spec), held as those
+values and never built.  Everything observed outside it is a candidate for
+anomaly scoring.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import product
+from math import prod
 
 from .config import AnalysisSpec, ConfigError
 
@@ -17,34 +20,31 @@ class EmptyCategoryError(ValueError):
 
 
 class BaselineSet:
-    """The expected combinations: per-category top values and their product.
+    """The expected combinations, held as their per-category top values.
 
     ``top_values[j]`` holds category ``categories[j]``'s selected values in
-    frequency order (most frequent first).  ``combinations`` is their full
-    Cartesian product; every member has one value per category, in category
-    order.
+    frequency order (most frequent first), each value once.  The expected
+    combinations are their Cartesian product: one value per category, in
+    category order.  ``combinations()`` walks it; ``size`` counts it.
     """
 
-    __slots__ = ("categories", "top_values", "combinations")
+    __slots__ = ("categories", "top_values")
 
     def __init__(
-        self,
-        categories: tuple[str, ...],
-        top_values: tuple[tuple[str, ...], ...],
-        combinations: frozenset[tuple[str, ...]],
+        self, categories: tuple[str, ...], top_values: tuple[tuple[str, ...], ...]
     ) -> None:
         if len(top_values) != len(categories):
             raise ConfigError("top_values must align with categories")
         self.categories = categories
         self.top_values = top_values
-        self.combinations = combinations
 
     @property
     def size(self) -> int:
-        return len(self.combinations)
+        return prod(map(len, self.top_values))
 
-    def sorted_combinations(self) -> list[tuple[str, ...]]:
-        return sorted(self.combinations)
+    def combinations(self) -> Iterator[tuple[str, ...]]:
+        """The product of each category's sorted values: sorted, as values are distinct."""
+        return product(*map(sorted, self.top_values))
 
 
 def top_p_values(marginals: dict[str, dict[str, int]], category: str, p: int) -> list[str]:
@@ -64,24 +64,20 @@ def top_p_values(marginals: dict[str, dict[str, int]], category: str, p: int) ->
 
 
 def generate_baseline(marginals: dict[str, dict[str, int]], spec: AnalysisSpec) -> BaselineSet:
-    """Build the expected-combination set: top-p values per category, crossed."""
+    """The baseline: each category's top-p values, whose product is the expected set."""
     tops: list[tuple[str, ...]] = []
     for category, per_cat in zip(spec.categories, spec.p):
         values = top_p_values(marginals, category, per_cat)
         if not values:
             raise EmptyCategoryError(f"category {category!r} has no observed values")
         tops.append(tuple(values))
-    combos = frozenset(product(*tops))
-    return BaselineSet(tuple(spec.categories), tuple(tops), combos)
+    return BaselineSet(tuple(spec.categories), tuple(tops))
 
 
 def baseline_as_dict(baseline: BaselineSet) -> dict:
-    """JSON-ready view of a baseline set, fully sorted for stable output."""
+    """JSON-ready view of a baseline set; its combinations are listed in sorted order."""
     return {
         "categories": list(baseline.categories),
-        "top_values": {
-            category: list(values)
-            for category, values in zip(baseline.categories, baseline.top_values)
-        },
-        "combinations": [list(c) for c in baseline.sorted_combinations()],
+        "top_values": dict(zip(baseline.categories, map(list, baseline.top_values))),
+        "combinations": [list(c) for c in baseline.combinations()],
     }

@@ -152,10 +152,9 @@ def discover(config: RunConfig) -> PipelineResult:
 
 
 def _write_baseline(baseline: BaselineSet, path: Path) -> None:
-    path.write_text(
-        json.dumps(baseline_as_dict(baseline), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    with path.open("w", encoding="utf-8") as handle:
+        json.dump(baseline_as_dict(baseline), handle, sort_keys=True, indent=2)
+        handle.write("\n")
 
 
 def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:

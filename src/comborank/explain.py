@@ -98,10 +98,10 @@ def explain(
     index: ContingencyIndex,
     baseline: BaselineSet,
 ) -> ExplanationBundle:
-    """Assemble the cohort evidence behind one entity's report."""
+    """The cohort evidence behind one entity's report; baseline charts in sorted order."""
     if report.entity != entity:
         raise ValueError(f"report is for {report.entity!r}, not {entity!r}")
-    held = sorted(combo for combo in baseline.combinations if index.holds(combo, entity))
+    held = [combo for combo in baseline.combinations() if index.holds(combo, entity)]
     baseline_charts = [_chart_for(index, combo, entity, None) for combo in held]
     if not baseline_charts and not report.items and not index.observes(entity):
         raise KeyError(f"entity {entity!r} not observed in the index")

@@ -136,25 +136,27 @@ class EntityAnomalyReport(NamedTuple):
     items: tuple[AnomalyItem, ...]
 
 
+def _observed_baseline(index: ContingencyIndex, baseline: BaselineSet) -> set[tuple[str, ...]]:
+    """The expected combinations the index observed, from one walk: never more than its cells."""
+    if not baseline.size:
+        raise ValueError("baseline set is empty")
+    return set(filter(index.cells.__contains__, baseline.combinations()))
+
+
 def _baseline_summary(
-    index: ContingencyIndex, baseline: BaselineSet
+    index: ContingencyIndex, observed: set[tuple[str, ...]]
 ) -> tuple[dict[str, int], dict[str, float]]:
     """Each entity's baseline presence and MRR, for entities present in an observed baseline cell.
 
-    Each observed baseline cell's counts are sorted once and every entity's
-    rank read from them, so the cost is one sort per baseline cell instead
-    of one per (entity, cell) pair.  The cells are visited in set order,
-    which changes nothing: presence is a count and the MRR is an ``fsum``.
-    Entities absent from every baseline cell get no entry.  The per-entity
-    rank lists are freed on return.
+    ``observed`` is ``_observed_baseline``'s set.  Each of its cells' counts
+    are sorted once and every entity's rank read from them: one sort per
+    baseline cell, not one per (entity, cell) pair.  Set order changes
+    nothing: presence is a count and the MRR is an ``fsum``.  Entities
+    absent from every baseline cell get no entry.  The per-entity rank lists
+    are freed on return.
     """
-    if not baseline.combinations:
-        raise ValueError("baseline set is empty")
     per_entity: dict[str, list[int]] = {}
-    for combo in baseline.combinations:
-        cell = index.cells.get(combo)
-        if not cell:
-            continue
+    for cell in map(index.cells.__getitem__, observed):
         counts = sorted(cell.values())
         above = len(counts) + 1
         for entity, count in cell.items():
@@ -171,7 +173,7 @@ def _baseline_summary(
 
 def baseline_stats(index: ContingencyIndex, baseline: BaselineSet) -> dict[str, EntityAnomalyReport]:
     """Every observed entity's baseline summary, as a report without items."""
-    presence, mrrs = _baseline_summary(index, baseline)
+    presence, mrrs = _baseline_summary(index, _observed_baseline(index, baseline))
     stats = {}
     for entity in sorted(index.entities()):
         mrr = mrrs.get(entity)
@@ -202,15 +204,15 @@ _Candidate = tuple[float, tuple[str, ...], float, int, int, int]
 
 def _best_candidates(
     index: ContingencyIndex,
-    baseline: BaselineSet,
+    observed: set[tuple[str, ...]],
     min_support: int,
     mrrs: dict[str, float],
     k: int,
 ) -> dict[str, list[_Candidate]]:
     """The one ranking pass: each entity's best k candidates, in report order.
 
-    Cohorts are visited in ``index.cells`` order.  Baseline combinations are
-    skipped, and so are combinations whose total count falls below
+    Cohorts are visited in ``index.cells`` order.  The ``observed`` baseline
+    cells are skipped, and so are combinations whose total count falls below
     ``min_support``.  Each cohort's counts are sorted once, and the
     competition rank of an entity with count ``c`` is read from them: one
     plus the number of counts above ``c``.  A one-entity cohort is rank 1
@@ -227,12 +229,11 @@ def _best_candidates(
     ahead of it.  The top k of a union is the top k of its parts' top k, so
     a final sort and cut leave exactly the best k.
     """
-    expected = baseline.combinations
     limit = 2 * k
     best: dict[str, list[_Candidate]] = {}
     floors: dict[str, _Candidate] = {}
     for combo, cell in index.cells.items():
-        if combo in expected or (min_support > 1 and sum(cell.values()) < min_support):
+        if combo in observed or (min_support > 1 and sum(cell.values()) < min_support):
             continue
         size = len(cell)
         if size == 1:
@@ -291,7 +292,8 @@ def compute_distances(
     an MRR (no baseline presence).
     """
     mrrs = {entity: s.mrr for entity, s in stats.items() if s.mrr is not None}
-    best = _best_candidates(index, baseline, min_support, mrrs, len(index.cells))
+    observed = _observed_baseline(index, baseline)
+    best = _best_candidates(index, observed, min_support, mrrs, len(index.cells))
     by_entity = {}
     for entity in list(best):
         # Popped, so each buffer is freed as its row is built.
@@ -320,8 +322,9 @@ class Ranking:
             raise ValueError("empty index: no accepted records to analyse")
         # Sorted first, so the set of names is freed before the candidates are kept.
         self.entities = sorted(index.entities())
-        presence, mrrs = _baseline_summary(index, baseline)
-        best = _best_candidates(index, baseline, spec.min_support, mrrs, spec.k)
+        observed = _observed_baseline(index, baseline)
+        presence, mrrs = _baseline_summary(index, observed)
+        best = _best_candidates(index, observed, spec.min_support, mrrs, spec.k)
         self.rows: dict[str, _Row] = {
             entity: (mrr, 1.0 / mrr, presence[entity], best.get(entity, ()))
             for entity, mrr in mrrs.items()

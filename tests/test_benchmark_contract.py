@@ -61,8 +61,9 @@ def test_benchmark_calls_write_what_the_cli_writes(helper, tmp_path):
 
     The benchmark's reference digests come from ``run_call``, which ranks
     through ``baseline_stats``, ``compute_distances`` and ``top_k``, views of
-    the ranking pass that the CLI never runs.  Tracing also runs the
-    branch that counts each layer's work.
+    the ranking pass that the CLI never runs, and writes baseline.json with
+    ``json.dumps`` where the CLI streams it with ``json.dump``.  Tracing
+    also runs the branch that counts each layer's work.
     """
     log = tmp_path / "rows.csv"
     helper.write_rows(helper.WORKLOADS["explain"], helper.DEFAULT_SEED, 2000, log)
@@ -79,7 +80,8 @@ def test_benchmark_calls_write_what_the_cli_writes(helper, tmp_path):
     assert main(["recommend", *argv, "--out", str(tmp_path / "cli")]) == EXIT_OK
     assert main(["explain", entity, *argv, "--out", str(tmp_path / "cli_explain")]) == EXIT_OK
     for call, cli in (("call", "cli"), ("call_explain", "cli_explain")):
-        reports = (tmp_path / call / "reports.json").read_bytes()
-        assert reports == (tmp_path / cli / "reports.json").read_bytes(), call
+        for name in ("baseline.json", "reports.json"):
+            written = (tmp_path / call / name).read_bytes()
+            assert written == (tmp_path / cli / name).read_bytes(), (call, name)
     charts = _tree(tmp_path / "call_explain" / "explanations")
     assert charts and charts == _tree(tmp_path / "cli_explain" / "explanations")

@@ -22,6 +22,7 @@ from comborank.rankstats import (
     Ranking,
     _baseline_summary,
     _best_candidates,
+    _observed_baseline,
     _ranked,
     baseline_stats,
     compute_distances,
@@ -35,7 +36,8 @@ def _index(cells: dict) -> ContingencyIndex:
 
 
 def _baseline(combos) -> BaselineSet:
-    return BaselineSet(("C1", "C2"), ((), ()), frozenset(combos))
+    """The baseline whose top values are each category's values in ``combos``."""
+    return BaselineSet(("C1", "C2"), tuple(tuple(sorted({c[j] for c in combos})) for j in range(2)))
 
 
 class TestRankOrdering:
@@ -167,12 +169,15 @@ class TestInvariants:
                 assert 0.0 < entity_stats.mrr <= 1.0
                 assert entity_stats.expected_rank >= 1.0
                 assert isclose(entity_stats.expected_rank * entity_stats.mrr, 1.0)
-            presence = sum(entity_stats.entity in cells[combo] for combo in baseline.combinations)
+            presence = sum(
+                entity_stats.entity in cells.get(combo, {}) for combo in baseline.combinations()
+            )
             assert entity_stats.baseline_presence == presence
         table = compute_distances(stats, index, baseline)
+        expected = set(baseline.combinations())
         for entity, per_combo in table.by_entity.items():
             for combo, entry in per_combo.items():
-                assert combo not in baseline.combinations
+                assert combo not in expected
                 assert 0.0 <= entry.distance < 1.0
                 assert entry.distance == abs(entry.rr - stats[entity].mrr)
                 assert 1 <= entry.rank <= entry.cohort_size
@@ -222,12 +227,15 @@ class TestRanksFromCounts:
         # k = 1 and one scored cohort: each entity keeps its one candidate.
         index = _index({("a", "x"): cell, ("b", "y"): {"e1": 1}})
         mrrs = {entity: 0.5 for entity in cell}
-        best = _best_candidates(index, _baseline([("b", "y")]), 1, mrrs, 1)
+        observed = _observed_baseline(index, _baseline([("b", "y")]))
+        best = _best_candidates(index, observed, 1, mrrs, 1)
         assert {entity: kept[0][3] for entity, kept in best.items()} == expected
         assert {entity: kept[0][2] for entity, kept in best.items()} == {
             entity: 1.0 / rank for entity, rank in expected.items()
         }
-        presence, mrrs = _baseline_summary(_index({("a", "x"): cell}), _baseline([("a", "x")]))
+        index = _index({("a", "x"): cell})
+        observed = _observed_baseline(index, _baseline([("a", "x")]))
+        presence, mrrs = _baseline_summary(index, observed)
         assert presence == {entity: 1 for entity in expected}
         assert mrrs == {entity: 1.0 / rank for entity, rank in expected.items()}
 

@@ -34,7 +34,8 @@ def _index(cells: dict) -> ContingencyIndex:
 
 
 def _baseline(combos) -> BaselineSet:
-    return BaselineSet(("C1", "C2"), ((), ()), frozenset(combos))
+    """The baseline whose top values are each category's values in ``combos``."""
+    return BaselineSet(("C1", "C2"), tuple(tuple(sorted({c[j] for c in combos})) for j in range(2)))
 
 
 def _table(cells, baseline_combos, min_support=1):
