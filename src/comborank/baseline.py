@@ -75,7 +75,10 @@ def generate_baseline(marginals: dict[str, dict[str, int]], spec: AnalysisSpec) 
 
 
 def baseline_as_dict(baseline: BaselineSet) -> dict:
-    """JSON-ready view of a baseline set; its combinations are listed in sorted order."""
+    """JSON-ready view of a baseline set; its combinations are listed in sorted order.
+
+    ``cli._write_baseline`` streams this document's ``json.dumps`` text without building it.
+    """
     return {
         "categories": list(baseline.categories),
         "top_values": dict(zip(baseline.categories, map(list, baseline.top_values))),

@@ -12,16 +12,18 @@ start writing, after reading its input.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import sys
 import time
 import zlib
 from contextlib import ExitStack
 from functools import partial
+from itertools import product
+from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .baseline import BaselineSet, baseline_as_dict, generate_baseline
+from .baseline import BaselineSet, generate_baseline
 from .config import (
     AnalysisSpec,
     ConfigError,
@@ -151,10 +153,37 @@ def discover(config: RunConfig) -> PipelineResult:
     return PipelineResult(spec, index, baseline, times)
 
 
+def _json_array(entries: Iterable[str], depth: int, brackets: str = "[]") -> Iterator[str]:
+    """Encoded entries in pieces, as ``json.dumps`` indents an array or object ``depth`` deep."""
+    inner = "\n" + " " * (depth + 2)
+    separator = brackets[0] + inner
+    for text in entries:
+        yield separator + text
+        separator = "," + inner
+    yield brackets if separator[0] == brackets[0] else "\n" + " " * depth + brackets[1]
+
+
 def _write_baseline(baseline: BaselineSet, path: Path) -> None:
+    """Write ``json.dumps(baseline_as_dict(baseline), sort_keys=True, indent=2)`` and a newline.
+
+    Each combination is one fixed-text entry filled from the product of each
+    category's sorted values, each value encoded once, so nothing the size
+    of the product is held.
+    """
+    values = [list(map(_ascii, sorted(top))) for top in baseline.top_values]
+    entry = "".join(_json_array(["%s"] * len(values), 4))
+    tops = (
+        f"{_ascii(category)}: " + "".join(_json_array(map(_ascii, top), 4))
+        for category, top in sorted(zip(baseline.categories, baseline.top_values))
+    )
     with path.open("w", encoding="utf-8") as handle:
-        json.dump(baseline_as_dict(baseline), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write('{\n  "categories": ')
+        handle.writelines(_json_array(map(_ascii, baseline.categories), 2))
+        handle.write(',\n  "combinations": ')
+        handle.writelines(_json_array(map(entry.__mod__, product(*values)), 2))
+        handle.write(',\n  "top_values": ')
+        handle.writelines(_json_array(tops, 2, "{}"))
+        handle.write("\n}\n")
 
 
 def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
@@ -184,7 +213,7 @@ def run_pipeline(config: RunConfig, keep: Iterable[str] = ()) -> PipelineResult:
         ranking = Ranking(result.index, result.baseline, result.spec)
         result.count = len(ranking.entities)
         result.no_baseline = result.count - len(ranking.rows)
-        result.kept = {row[0]: EntityAnomalyReport._make(row) for row in ranking.reports(wanted)}
+        result.kept = {report.entity: report for report in ranking.reports(wanted)}
         reports = staged[1:3] if config.report_format == "csv" else staged[1:2]
         with ExitStack() as stack:
             handles = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in reports]
@@ -481,7 +510,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is off while the command runs, and left as
+    it was found: the pipeline builds no reference cycles, so a collection
+    would only walk live objects.
+    """
     parser = build_parser()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
@@ -498,7 +535,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":
+    # No later collection, the one at exit included, walks what the imports made.
+    gc.freeze()
     sys.exit(main())

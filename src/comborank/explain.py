@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .baseline import BaselineSet
 from .ingest import ContingencyIndex
-from .rankstats import EntityAnomalyReport, rank_ordering
+from .rankstats import EntityAnomalyReport, baseline_cells, rank_ordering
 from .reports import SCHEMA_VERSION, all_or_nothing, emit_report  # noqa: F401
 
 _CHART_WIDTH = 960
@@ -101,16 +101,14 @@ def explain(
     """The cohort evidence behind one entity's report; baseline charts in sorted order."""
     if report.entity != entity:
         raise ValueError(f"report is for {report.entity!r}, not {entity!r}")
-    held = [combo for combo in baseline.combinations() if index.holds(combo, entity)]
-    baseline_charts = [_chart_for(index, combo, entity, None) for combo in held]
+    held = baseline_cells(index, baseline, entity)
+    baseline_charts = tuple(_chart_for(index, combo, entity, None) for combo in held)
     if not baseline_charts and not report.items and not index.observes(entity):
         raise KeyError(f"entity {entity!r} not observed in the index")
     anomaly_charts = tuple(
         _chart_for(index, item.combination, entity, item.distance) for item in report.items
     )
-    return ExplanationBundle(
-        entity, report.mrr, report.expected_rank, tuple(baseline_charts), anomaly_charts
-    )
+    return ExplanationBundle(entity, report.mrr, report.expected_rank, baseline_charts, anomaly_charts)
 
 
 def _displayed_positions(chart: ChartData) -> list[int]:

@@ -100,10 +100,6 @@ class ContingencyIndex:
         """Whether ``entity`` occurs in some cell, found without building ``entities()``."""
         return any(entity in cell for cell in self.cells.values())
 
-    def holds(self, combination: tuple[str, ...], entity: str) -> bool:
-        """Whether ``entity`` occurs in ``combination``'s cell."""
-        return entity in self.cells.get(combination, ())
-
 
 def _add_cells(into: Cells, other: Cells) -> None:
     """Add ``other``'s counts into ``into`` cell by cell, leaving ``other`` unshared.

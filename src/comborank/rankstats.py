@@ -143,6 +143,12 @@ def _observed_baseline(index: ContingencyIndex, baseline: BaselineSet) -> set[tu
     return set(filter(index.cells.__contains__, baseline.combinations()))
 
 
+def baseline_cells(index: ContingencyIndex, baseline: BaselineSet, entity: str) -> list:
+    """The expected combinations whose cell holds ``entity``, sorted; an empty baseline has none."""
+    cells = index.cells
+    return [c for c in filter(cells.__contains__, baseline.combinations()) if entity in cells[c]]
+
+
 def _baseline_summary(
     index: ContingencyIndex, observed: set[tuple[str, ...]]
 ) -> tuple[dict[str, int], dict[str, float]]:
@@ -352,8 +358,8 @@ class Ranking:
             raise ValueError("more than one report of an entity")
         return ranking
 
-    def reports(self, entities: Iterable[str]) -> Iterator[tuple]:
-        """Each of ``entities``' reports, as a plain tuple in ``EntityAnomalyReport`` field order.
+    def reports(self, entities: Iterable[str]) -> Iterator[EntityAnomalyReport]:
+        """Each of ``entities``' reports.
 
         Items come from ``_items``, in report order.  An entity without a row
         gets an empty report.
@@ -362,7 +368,7 @@ class Ranking:
         for entity in entities:
             row = rows.get(entity)
             if row is None:
-                yield entity, None, None, 0, ()
+                yield EntityAnomalyReport(entity, None, None, 0, ())
             else:
                 mrr, expected, presence, candidates = row
-                yield entity, mrr, expected, presence, _items(candidates)
+                yield EntityAnomalyReport(entity, mrr, expected, presence, _items(candidates))

@@ -42,4 +42,4 @@ def recommend_all(
     report.
     """
     ranking = Ranking(index, baseline, spec)
-    return list(map(EntityAnomalyReport._make, ranking.reports(ranking.entities)))
+    return list(ranking.reports(ranking.entities))

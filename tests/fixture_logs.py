@@ -124,6 +124,19 @@ def tiny_browser_log() -> tuple[list[str], FieldMapping, AnalysisSpec]:
     return lines, mapping, spec
 
 
+def wide_product_log() -> tuple[list[str], FieldMapping, AnalysisSpec]:
+    """Two categories of 300 top values at p=(300, 300): 90,000 expected, 340 observed cells.
+
+    Cell ``(a<i>, b<i>)`` holds ``e<i % 10>`` twice and ``e<(i + 1) % 10>``
+    once; the 40 cells ``(a<j>, z<j>)`` lie outside the baseline.
+    """
+    lines = []
+    for i in range(300):
+        lines += [f"a{i:03d},b{i:03d},e{i % 10}"] * 2 + [f"a{i:03d},b{i:03d},e{(i + 1) % 10}"]
+    lines += [f"a{j:03d},z{j:02d},e{j % 10}" for j in range(40)]
+    return lines, FieldMapping(("C1", "C2", "E")), AnalysisSpec(("C1", "C2"), "E", p=(300, 300))
+
+
 def _reference_csv(reports) -> str:
     """The CSV view as ``csv.writer`` writes rows built from the report fields."""
     text = io.StringIO()

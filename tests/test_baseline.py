@@ -13,7 +13,6 @@ from comborank import (
     BaselineSet,
     ConfigError,
     EmptyCategoryError,
-    FieldMapping,
     emit_report,
     generate_baseline,
     top_p_values,
@@ -24,7 +23,7 @@ from comborank.ingest import ingest_lines
 from comborank.rankstats import Ranking
 from comborank.synthgen import oracle_recommend
 
-from fixture_logs import tiny_browser_log
+from fixture_logs import tiny_browser_log, wide_product_log
 
 WEB_MARGINALS = {
     "Browser": {"Firefox": 100, "Safari": 80, "Edge": 10},
@@ -134,14 +133,10 @@ def test_product_is_never_held(tmp_path):
     MB.  The reports still equal the oracle's, which crosses the values
     itself.
     """
-    lines = []
-    for i in range(300):
-        lines += [f"a{i:03d},b{i:03d},e{i % 10}\n"] * 2 + [f"a{i:03d},b{i:03d},e{(i + 1) % 10}\n"]
-    lines += [f"a{j:03d},z{j:02d},e{j % 10}\n" for j in range(40)]
+    lines, mapping, spec = wide_product_log()
     log = tmp_path / "log.csv"
-    log.write_text("C1,C2,E\n" + "".join(lines), encoding="utf-8")
-    spec = AnalysisSpec(("C1", "C2"), "E", p=(300, 300))
-    marginals, index = ingest_lines(lines, spec, FieldMapping(("C1", "C2", "E")))
+    log.write_text("C1,C2,E\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    marginals, index = ingest_lines(lines, spec, mapping)
     assert len(index.cells) == 340
     tracemalloc.start()
     try:
@@ -160,3 +155,22 @@ def test_product_is_never_held(tmp_path):
     assert main(["recommend", *argv, "--out", str(out)]) == EXIT_OK
     expected = emit_report(oracle_recommend(log, spec))
     assert (out / "reports.json").read_text(encoding="utf-8") == expected
+
+
+def test_baseline_json_is_streamed(tmp_path):
+    """``baseline.json`` lists the 90,000 expected combinations without holding them."""
+    lines, mapping, spec = wide_product_log()
+    marginals, _index = ingest_lines(lines, spec, mapping)
+    baseline = generate_baseline(marginals, spec)
+    path = tmp_path / "baseline.json"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _write_baseline(baseline, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024, peak
+    reference = json.dumps(baseline_as_dict(baseline), sort_keys=True, indent=2) + "\n"
+    assert path.read_text(encoding="utf-8") == reference

@@ -918,6 +918,60 @@ def test_explain_loads_no_openssl(tmp_path):
     assert list((out_dir / "explanations").glob("*/anomaly__*.svg"))
 
 
+# Runs recommend and explain on one log with the collector off, as main
+# leaves it, and prints what a collection then finds unreachable.
+_UNREACHABLE_AFTER_RUNS = """
+import contextlib, gc, io, sys
+from comborank.cli import main
+
+gc.disable()
+log, out = sys.argv[1:]
+argv = ["--input", log, "--out", out, "--categories", "c1,c2", "--entity", "entity"]
+found = []
+for run in 2 * (["recommend", "--format", "csv"], ["explain", "e1", "--threads", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*run, *argv]) == 0
+    found.append(gc.collect())
+print(*found)
+"""
+
+
+def test_runs_leave_no_garbage_that_grows_with_the_log(tmp_path):
+    """A run builds no reference cycles that grow with its log, so the collector can stay off.
+
+    Each log is run twice in one fresh process: the first runs also collect
+    what the modules loaded on first use leave.  The second runs on both
+    logs must leave the same few unreachable objects.
+    """
+    found = {}
+    for lines in (1_000, 10_000):
+        log = tmp_path / f"log{lines}.csv"
+        body = "".join(f"a{i % 500},b{i % 7},e{i % 97}\n" for i in range(lines))
+        log.write_text("c1,c2,entity\n" + body, encoding="utf-8")
+        proc = _run_python("-c", _UNREACHABLE_AFTER_RUNS, str(log), str(tmp_path / f"out{lines}"))
+        assert proc.returncode == 0, proc.stderr
+        found[lines] = proc.stdout.split()[2:]
+    assert found[1_000] == found[10_000]
+    assert max(map(int, found[1_000])) < 1_000
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    lines, _mapping, _spec = tiny_browser_log()
+    log = tmp_path / "log.csv"
+    log.write_text("Browser,Country,Customer\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["--input", str(log), "--out", str(tmp_path / "out"), "--entity", "Customer"]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["recommend", *argv, "--categories", "Browser,Country"]) == EXIT_OK
+        assert gc.isenabled() is enabled
+        assert main(["recommend", *argv, "--categories", "Nope"]) == EXIT_INPUT
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_public_api_is_pinned():
     """Growing or shrinking the package surface has to show up in this list."""
     assert sorted(comborank.__all__) == [

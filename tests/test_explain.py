@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from comborank import (
     AnomalyItem,
+    BaselineSet,
     EntityAnomalyReport,
     emit_report,
     generate_baseline,
@@ -30,16 +31,16 @@ from comborank.ingest import ingest_lines
 from comborank.rankstats import Ranking
 from comborank.reports import write_reports
 
-from fixture_logs import ENTITY_A, _reference_csv, rank_profile_log
+from fixture_logs import ENTITY_A, _reference_csv, rank_profile_log, wide_product_log
 
 _SVG_NS = "{http://www.w3.org/2000/svg}"
 _MARGIN_LEFT = 56
 _PLOT_WIDTH = 960 - 56 - 24
 
 
-def _pipeline():
-    lines, mapping, spec = rank_profile_log()
-    marginals, index = ingest_lines(lines, spec, mapping)
+def _pipeline(log=rank_profile_log, extra=()):
+    lines, mapping, spec = log()
+    marginals, index = ingest_lines([*lines, *extra], spec, mapping)
     baseline = generate_baseline(marginals, spec)
     reports = recommend_all(index, baseline, spec)
     return index, baseline, {r.entity: r for r in reports}
@@ -119,20 +120,33 @@ _report_lists = st.lists(st.one_of(_scored, _unscored), max_size=6, unique_by=la
 
 class TestExplain:
     def test_bundle_covers_presence_and_items(self):
-        index, baseline, reports = _pipeline()
-        report = reports[ENTITY_A]
-        bundle = explain(ENTITY_A, report, index, baseline)
-        assert len(bundle.baseline_charts) == report.baseline_presence == 5
-        assert len(bundle.anomaly_charts) == len(report.items) == 2
-        assert bundle.mrr == report.mrr
-        # absent baseline combinations yield no chart
-        charted = {chart.combination for chart in bundle.baseline_charts}
-        assert len(charted) == 5
-        for chart in bundle.anomaly_charts:
-            assert chart.distance is not None
-            assert chart.focal_entity == ENTITY_A
-        for chart in (*bundle.baseline_charts, *bundle.anomaly_charts):
-            assert chart.focal_count == index.cells[chart.combination][ENTITY_A]
+        # The second log's product (90,000) outnumbers its cells (340); "lonely"
+        # shares a cell outside the baseline, so it has no baseline presence.
+        cases = [
+            (rank_profile_log, (), ENTITY_A, 5, 2),
+            (wide_product_log, ("a000,z00,lonely",), "e0", 60, 4),
+        ]
+        for log, extra, entity, presence, items in cases:
+            index, baseline, reports = _pipeline(log, extra)
+            report = reports[entity]
+            bundle = explain(entity, report, index, baseline)
+            assert len(bundle.baseline_charts) == report.baseline_presence == presence
+            assert len(bundle.anomaly_charts) == len(report.items) == items
+            assert bundle.mrr == report.mrr
+            # absent baseline combinations yield no chart; the rest come in sorted order
+            held = [c for c in baseline.combinations() if entity in index.cells.get(c, ())]
+            assert [chart.combination for chart in bundle.baseline_charts] == held
+            for chart in bundle.anomaly_charts:
+                assert chart.distance is not None
+                assert chart.focal_entity == entity
+            for chart in (*bundle.baseline_charts, *bundle.anomaly_charts):
+                assert chart.focal_count == index.cells[chart.combination][entity]
+            absent = [r for r in reports.values() if r.baseline_presence == 0]
+            assert absent
+            for other in absent:
+                assert explain(other.entity, other, index, baseline).baseline_charts == ()
+            empty = BaselineSet(baseline.categories, ((),) * len(baseline.categories))
+            assert explain(entity, report, index, empty).baseline_charts == ()
 
     def test_report_entity_mismatch(self):
         index, baseline, reports = _pipeline()
